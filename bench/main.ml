@@ -27,7 +27,6 @@ module Qs = Dlink_sched.Quantum_sweep
 module Replay = Dlink_trace.Replay
 module Tcache = Dlink_trace.Cache
 module Sreplay = Dlink_trace.Sched_replay
-module Parallel = Dlink_util.Parallel
 module Dpool = Dlink_util.Dpool
 module W = Dlink_workloads
 module Table = Dlink_util.Table
@@ -67,7 +66,7 @@ let jobs =
   let rec scan = function
     | "--jobs" :: n :: _ -> (
         match int_of_string_opt n with
-        | Some 0 -> Parallel.default_jobs ()
+        | Some 0 -> Dpool.default_jobs ()
         | Some n when n > 0 -> n
         | _ ->
             Printf.eprintf "bad --jobs value: %s\n" n;
@@ -200,8 +199,7 @@ let make_triple ?(verbose = true) name =
 (* Domain workers share the heap, so triples — workload closures
    included — come back directly, and every trace a worker records lands
    in the shared mutex-guarded cache where the later sections replay it
-   instead of re-recording (the fork pool lost the children's
-   recordings to copy-on-write). *)
+   instead of re-recording. *)
 let make_triples () =
   if jobs <= 1 then List.map (fun n -> (n, make_triple n)) workload_names
   else begin
@@ -1260,20 +1258,17 @@ let servesweep () =
                   ] ))
             cells))
 
-(* Million-request serving cell: the memory-bounded streaming driver at
-   bench scale.  One Base-mode synth cell at the knee (load 1.0) runs a
-   million requests through [Serve.run_cell_stream]'s snapshot-segmented
-   measured pass: the calibration pass harvests kernel snapshots at
-   segment boundaries, worker domains re-execute the segments, and the
-   queue arithmetic consumes service times in index order — O(segments)
-   resident latency state (log-bucket recorder + order-sensitive
-   fingerprint; the raw vector is never materialized past lat_keep_cap).
-   The serving leaves are pure simulated-cycle quantities, bit-stable
-   across hosts and --jobs; sim_mips is the whole-cell wall-clock rate,
-   run once per bench invocation — at a million requests one run is long
-   enough to average runner noise without median-of-N. *)
+(* Million-request serving cell at bench scale.  One Base-mode synth cell
+   at the knee (load 1.0) runs a million requests through
+   [Serve.run_cell_stream]: a single generate pass yields the service
+   stream, which is also the calibration, and the queue arithmetic runs
+   over it in index order.  The serving leaves are pure simulated-cycle
+   quantities, bit-stable across hosts and --jobs; sim_mips is the
+   whole-cell wall-clock rate, run once per bench invocation — at a
+   million requests one run is long enough to average runner noise
+   without median-of-N. *)
 let servesweep_1m () =
-  section "Million-request serving cell: streaming, snapshot-segmented replay";
+  section "Million-request serving cell: one service stream";
   let module Serve = Dlink_core.Serve in
   let name = "synth" in
   let wl = (Option.get (W.Registry.find name)) ?seed:None () in
@@ -1291,24 +1286,22 @@ let servesweep_1m () =
   let c = Serve.run_cell_stream ~jobs ~cfg wl in
   let wall = Unix.gettimeofday () -. t0 in
   let mips = E.mips ~instructions:c.Serve.counters.C.instructions ~wall_s:wall in
-  Printf.printf
-    "  %s, %d requests, load %s, %d segments, %d jobs: %.1f s wall\n" name n
-    (fmt cfg.Serve.load) c.Serve.segments jobs wall;
+  Printf.printf "  %s, %d requests, load %s, %d jobs: %.1f s wall\n" name n
+    (fmt cfg.Serve.load) jobs wall;
   Printf.printf
     "  served %d  dropped %d  goodput %.0f r/s  util %.3f  sim %.1f Mi/s\n"
     c.Serve.served c.Serve.dropped c.Serve.goodput_rps c.Serve.util mips;
   Printf.printf "  p50 %.1f us  p99 %.1f us  p999 %.1f us\n" c.Serve.p50_us
     c.Serve.p99_us c.Serve.p999_us;
   print_endline
-    "  The latency vector is never materialized: tail quantiles come from\n\
-    \  the log-bucket recorder, and per-request outcomes are pinned by the\n\
-    \  order-sensitive fingerprint — bit-identical at any --jobs.";
+    "  Tail quantiles come from the log-bucket recorder, and per-request\n\
+    \  outcomes are pinned by the order-sensitive fingerprint — bit-identical\n\
+    \  at any --jobs.";
   json_add "servesweep_1m"
     (Json.Obj
        [
          ("workload", Json.String name);
          ("requests", Json.Int n);
-         ("segments", Json.Int c.Serve.segments);
          ("jobs", Json.Int jobs);
          ("served", Json.Int c.Serve.served);
          ("dropped", Json.Int c.Serve.dropped);

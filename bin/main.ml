@@ -387,8 +387,8 @@ let multi_cmd =
     let workloads = List.map (fun n -> get_workload n seed) mix in
     if sweep then begin
       (* Each workload is recorded once, then every (quantum, policy)
-         combination replays the packed traces — across --jobs forked
-         workers when given.  Points are identical to [Qs.sweep]. *)
+         combination replays the packed traces — across --jobs domains
+         when given.  Points are identical to [Qs.sweep]. *)
       let points =
         Dlink_trace.Sched_replay.sweep ?requests ?jobs ~cores
           ~policies:Dlink_sched.Policy.all workloads
@@ -480,8 +480,8 @@ let multi_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Forked worker processes for $(b,--sweep): each (quantum, \
-             policy) point replays the cached traces in parallel.")
+            "Domains for $(b,--sweep): each (quantum, policy) point \
+             replays the cached traces in parallel.")
   in
   Cmd.v
     (Cmd.info "multi" ~doc:"Multi-process scheduling: flush vs ASID-tagged ABTB")
@@ -1171,10 +1171,6 @@ let serve_cmd =
   let module Serve = Dlink_core.Serve in
   let module Arrival = Dlink_util.Arrival in
   let module J = Dlink_util.Json in
-  (* Largest single cell served through the packed-trace replay path;
-     beyond it the streaming generate driver runs the cell without ever
-     recording a trace. *)
-  let trace_cell_cap = 20_000 in
   (* Every axis value is validated up front with the full list of valid
      spellings — a typo'd load or arrival exits 2, never a stack trace. *)
   let parse_load s =
@@ -1205,8 +1201,8 @@ let serve_cmd =
         exit 2
   in
   let action name mode_str load loads_str arrival_str queue_cap requests
-      flush_str flush_every seed sweep modes_str flushes_str jobs segment hist
-      json_path =
+      flush_str flush_every seed sweep modes_str flushes_str jobs hist json_path
+      =
     if queue_cap <= 0 then begin
       prerr_endline "dlinksim: --queue-cap must be positive";
       exit 2
@@ -1223,11 +1219,6 @@ let serve_cmd =
     (match jobs with
     | Some j when j <= 0 ->
         prerr_endline "dlinksim: --jobs must be positive";
-        exit 2
-    | _ -> ());
-    (match segment with
-    | Some k when k <= 0 ->
-        prerr_endline "dlinksim: --segment must be positive";
         exit 2
     | _ -> ());
     let arrival = parse_arrival arrival_str in
@@ -1262,28 +1253,16 @@ let serve_cmd =
             flush = parse_flush flush_str;
           }
         in
-        (* Million-request cells never materialize a packed trace (its
-           event stream would dwarf the cell itself): beyond the trace
-           cap the streaming generate driver runs the cell with
-           snapshot-segmented domain parallelism and O(segments)
-           memory. *)
-        if requests > trace_cell_cap then
-          [ Serve.run_cell_stream ?jobs ?segment ~cfg w ]
-        else [ Dlink_trace.Serve_replay.run_cell ?jobs ?segment ~cfg w ]
+        [ Dlink_trace.Serve_replay.run_cell ?jobs ~cfg w ]
     in
     let mean_service =
       match cells with
       | c :: _ -> c.Serve.mean_service_cycles
       | [] -> 0
     in
-    let segments =
-      match cells with
-      | [ c ] when not sweep -> Printf.sprintf " segments=%d" c.Serve.segments
-      | _ -> ""
-    in
     Printf.printf
-      "workload=%s requests=%d queue_cap=%d seed=%d mean_service=%d cycles%s\n"
-      name requests queue_cap cell_seed mean_service segments;
+      "workload=%s requests=%d queue_cap=%d seed=%d mean_service=%d cycles\n"
+      name requests queue_cap cell_seed mean_service;
     let t =
       Table.create
         ~headers:
@@ -1413,19 +1392,9 @@ let serve_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Domains for $(b,--sweep) (cell-level) or for a single cell's \
-             snapshot-segmented measured pass; results are bit-identical \
-             regardless of N.")
-  in
-  let segment_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "segment" ] ~docv:"K"
-          ~doc:
-            "Snapshot the kernel every K requests of a single cell's \
-             measured pass (default: spread over 4*jobs segments); the \
-             segments replay concurrently on $(b,--jobs) domains.")
+            "Domains running distinct (mode, flush) service streams and the \
+             cells' queue arithmetic concurrently; a single stream is \
+             sequential.  Results are bit-identical regardless of N.")
   in
   let hist_arg =
     Arg.(
@@ -1447,7 +1416,7 @@ let serve_cmd =
       const action $ workload_arg $ mode_arg $ load_arg $ loads_arg
       $ arrival_arg $ queue_cap_arg $ requests_arg $ flush_arg
       $ flush_every_arg $ seed_arg $ sweep_arg $ modes_arg $ flushes_arg
-      $ jobs_arg $ segment_arg $ hist_arg $ json_arg)
+      $ jobs_arg $ hist_arg $ json_arg)
 
 let list_cmd =
   let action () =

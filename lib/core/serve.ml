@@ -21,14 +21,16 @@ module Kernel = Dlink_pipeline.Kernel
 
    The cell is a trace-driven queueing simulation: the execution stream
    is always the full closed-loop request sequence (flush policy keyed by
-   stream index), yielding a per-request service-time vector, and the
-   bounded queue is pure arithmetic over that vector plus the arrival
-   times.  Admission drops therefore affect queueing only, never machine
-   state — which is what makes the generate driver here
-   ([run_cell_generate], over {!Sim}) and the packed-trace replay driver
-   ({!Dlink_trace.Serve_replay}) bit-identical: the service vector
-   reduces to the kernel equivalence the pipeline matrix already proves,
-   and the queueing arithmetic is shared. *)
+   stream index), yielding a per-request service-time vector — the
+   service stream — and the bounded queue is pure arithmetic over that
+   vector plus the arrival times.  Admission drops therefore affect
+   queueing only, never machine state, so a service stream depends on
+   (mode, flush) alone: it is executed once and shared by every load and
+   arrival process, and the generate source here ({!generate_stream},
+   over {!Sim}) and the packed-trace replay source
+   ({!Dlink_trace.Serve_replay}) yield bit-identical cells because the
+   stream reduces to the kernel equivalence the pipeline matrix already
+   proves. *)
 
 (* ------------------------------------------------------------------ *)
 (* Flush policy: what happens to the server's microarchitectural state
@@ -82,266 +84,23 @@ let check_config cfg =
   if cfg.flush_every <= 0 then invalid_arg "Serve: flush_every must be positive"
 
 (* ------------------------------------------------------------------ *)
-(* The queue engine.  Admission is lazy, as in [Multi.quantum_open]: all
-   arrivals up to the current virtual time are admitted (or dropped at a
-   full queue) immediately before each service starts, which reproduces
-   exactly the occupancy a real-time interleaving would have seen because
-   the queue only drains at those same instants. *)
-
-type queue_stats = {
-  q_served : int;
-  q_dropped : int;
-  q_reqs : int array;  (** request index per served request, serve order *)
-  q_lat_cycles : int array;  (** queue wait + service, serve order *)
-  q_wait_cycles : int array;
-  q_busy : int;
-  q_span : int;  (** completion time of the last served request *)
-}
-
-let simulate_queue ~arrivals ~queue_cap ~service =
-  if queue_cap <= 0 then
-    invalid_arg "Serve.simulate_queue: queue_cap must be positive";
-  let n = Array.length arrivals in
-  let q = Queue.create () in
-  let reqs = ref [] and lats = ref [] and waits = ref [] in
-  let now = ref 0 and busy = ref 0 in
-  let served = ref 0 and dropped = ref 0 and next = ref 0 in
-  let admit () =
-    while !next < n && arrivals.(!next) <= !now do
-      if Queue.length q < queue_cap then Queue.add !next q else incr dropped;
-      incr next
-    done
-  in
-  while !served + !dropped < n do
-    admit ();
-    if Queue.is_empty q then begin
-      (* Idle until the earliest un-admitted arrival. *)
-      if arrivals.(!next) > !now then now := arrivals.(!next);
-      admit ()
-    end;
-    let r = Queue.pop q in
-    let start = !now in
-    let s = service ~nth:!served ~req:r in
-    if s < 0 then invalid_arg "Serve.simulate_queue: negative service time";
-    busy := !busy + s;
-    now := !now + s;
-    reqs := r :: !reqs;
-    lats := (!now - arrivals.(r)) :: !lats;
-    waits := (start - arrivals.(r)) :: !waits;
-    incr served
-  done;
-  {
-    q_served = !served;
-    q_dropped = !dropped;
-    q_reqs = Array.of_list (List.rev !reqs);
-    q_lat_cycles = Array.of_list (List.rev !lats);
-    q_wait_cycles = Array.of_list (List.rev !waits);
-    q_busy = !busy;
-    q_span = !now;
-  }
-
-(* ------------------------------------------------------------------ *)
-
-type rtype_stats = {
-  rt_name : string;
-  rt_served : int;
-  rt_mean_us : float;
-  rt_p99_us : float;
-}
-
-type cell = {
-  cfg : config;
-  workload_name : string;
-  mean_service_cycles : int;  (** base-mode calibration behind [load] *)
-  served : int;
-  dropped : int;
-  lat_cycles : int array;  (** per served request, serve order *)
-  recorder : Latency.t;  (** the same latencies in scaled microseconds *)
-  offered_rps : float;
-  goodput_rps : float;
-  util : float;
-  span_us : float;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  p999_us : float;
-  mean_wait_us : float;
-  by_rtype : rtype_stats array;
-  lat_fingerprint : int;
-      (** order-sensitive digest of (req, lat, wait) in serve order *)
-  segments : int;  (** replay segments the measured pass ran as (1 = whole) *)
-  counters : Counters.t;
-}
-
-(* Order-sensitive digest of the served-request stream: folding (request
-   index, latency, wait) in serve order means two drivers agree iff every
-   per-request outcome matches exactly — the O(1)-memory bit-identity
-   witness the segmented-replay tests pin, usable even when the
-   per-request latency vector itself is not materialized. *)
-let fp_fold acc ~req ~lat ~wait =
-  Site_hash.mix2 acc (Site_hash.mix2 (Site_hash.mix2 req lat) wait)
-
-let rtype_stats_of (w : Workload.t) buckets =
-  Array.mapi
-    (fun rt name ->
-      {
-        rt_name = name;
-        rt_served = Latency.count buckets.(rt);
-        rt_mean_us = Latency.mean buckets.(rt);
-        rt_p99_us = Latency.p99 buckets.(rt);
-      })
-    w.Workload.request_type_names
-
-(* Shared cell assembly: everything below the raw per-request accounting
-   is identical between the array-based ([finish_cell]) and streaming
-   ([finish_stream_cell]) drivers. *)
-let assemble_cell ~cfg ~(w : Workload.t) ~mean_service ~served ~dropped
-    ~lat_cycles ~recorder ~by_rtype ~wait_cycles ~busy ~span ~lat_fingerprint
-    ~segments ~counters =
-  let span_us = Workload.cycles_to_us w span in
-  let span_s = span_us *. 1e-6 in
-  let mean_gap = float_of_int mean_service /. cfg.load in
-  let gap_s = Workload.cycles_to_us w (int_of_float mean_gap) *. 1e-6 in
-  let mean_wait_us =
-    if served = 0 then Float.nan
-    else Workload.cycles_to_us w wait_cycles /. float_of_int served
-  in
-  {
-    cfg;
-    workload_name = w.Workload.wname;
-    mean_service_cycles = mean_service;
-    served;
-    dropped;
-    lat_cycles;
-    recorder;
-    offered_rps = (if gap_s > 0.0 then 1.0 /. gap_s else Float.nan);
-    goodput_rps = (if span_s > 0.0 then float_of_int served /. span_s else 0.0);
-    util = (if span > 0 then float_of_int busy /. float_of_int span else 0.0);
-    span_us;
-    mean_us = Latency.mean recorder;
-    p50_us = Latency.p50 recorder;
-    p99_us = Latency.p99 recorder;
-    p999_us = Latency.p999 recorder;
-    mean_wait_us;
-    by_rtype;
-    lat_fingerprint;
-    segments;
-    counters;
-  }
-
-let finish_cell ~cfg ~(w : Workload.t) ~mean_service ~segments
-    ~(qs : queue_stats) ~counters =
-  let recorder = Latency.create () in
-  Array.iter
-    (fun lc -> Latency.record recorder (Workload.cycles_to_us w lc))
-    qs.q_lat_cycles;
-  let by_rtype =
-    let n_rt = Array.length w.Workload.request_type_names in
-    let buckets = Array.init n_rt (fun _ -> Latency.create ()) in
-    Array.iteri
-      (fun i r ->
-        let rt = (w.Workload.gen_request r).Workload.rtype in
-        Latency.record buckets.(rt) (Workload.cycles_to_us w qs.q_lat_cycles.(i)))
-      qs.q_reqs;
-    rtype_stats_of w buckets
-  in
-  let fp = ref 0 in
-  for i = 0 to qs.q_served - 1 do
-    fp :=
-      fp_fold !fp ~req:qs.q_reqs.(i) ~lat:qs.q_lat_cycles.(i)
-        ~wait:qs.q_wait_cycles.(i)
-  done;
-  assemble_cell ~cfg ~w ~mean_service ~served:qs.q_served ~dropped:qs.q_dropped
-    ~lat_cycles:qs.q_lat_cycles ~recorder ~by_rtype
-    ~wait_cycles:(Array.fold_left ( + ) 0 qs.q_wait_cycles)
-    ~busy:qs.q_busy ~span:qs.q_span ~lat_fingerprint:!fp ~segments ~counters
-
-(* ------------------------------------------------------------------ *)
-(* Base-mode capacity calibration: the mean service time (cycles per
-   request, closed loop) every load level is expressed against.  Always
-   measured in [Base] so "load 1.0" means the same client behavior for
-   every mode under comparison — the enhanced modes then run the same
-   arrival sequence with shorter service times, which is precisely the
-   capacity head-room being measured. *)
-
-let calibrate_generate ?ucfg ?skip_cfg ?requests ?warmup (w : Workload.t) =
-  let n = Option.value requests ~default:w.Workload.default_requests in
-  let r = Experiment.run ?ucfg ?skip_cfg ~requests:n ?warmup ~mode:Sim.Base w in
-  max 1 (r.Experiment.counters.Counters.cycles / max 1 n)
-
-(* The shared serving loop body: arrivals from the seed, service times
-   from the driver's precomputed vector.  Keeping the queue a pure
-   function of (arrivals, services) is what decouples admission drops
-   from machine state — see the header comment. *)
-let run_queue ~cfg ~mean_service ~services =
-  if Array.length services <> cfg.requests then
-    invalid_arg "Serve.run_queue: services length <> requests";
-  let arrivals =
-    Arrival.times ~seed:cfg.seed
-      ~mean_gap:(float_of_int mean_service /. cfg.load)
-      ~n:cfg.requests cfg.arrival
-  in
-  simulate_queue ~arrivals ~queue_cap:cfg.queue_cap
-    ~service:(fun ~nth:_ ~req -> services.(req))
-
-(* Generate-mode cell driver: live interpreter over [Sim].  The replay
-   mirror lives in {!Dlink_trace.Serve_replay}; both must produce
-   bit-identical [lat_cycles] for replay-compatible configurations. *)
-let run_cell_generate ?ucfg ?skip_cfg ?mean_service ~cfg (w : Workload.t) =
-  check_config cfg;
-  let mean_service =
-    match mean_service with
-    | Some m -> m
-    | None -> calibrate_generate ?ucfg ?skip_cfg ~requests:cfg.requests w
-  in
-  let sim =
-    Sim.create ?ucfg ?skip_cfg ~func_align:w.Workload.func_align ~mode:cfg.mode
-      w.Workload.objs
-  in
-  let kernel = Sim.kernel sim in
-  let call (rq : Workload.request) =
-    Kernel.note_boundary kernel ~rtype:rq.Workload.rtype;
-    Sim.call sim ~mname:rq.Workload.mname ~fname:rq.Workload.fname
-  in
-  for i = 0 to w.Workload.warmup_requests - 1 do
-    call (w.Workload.gen_request (-1 - i))
-  done;
-  Sim.mark_measurement_start sim;
-  let counters = Sim.counters sim in
-  let services = Array.make cfg.requests 0 in
-  for i = 0 to cfg.requests - 1 do
-    (match cfg.flush with
-    | No_flush -> ()
-    | Flush when i > 0 && i mod cfg.flush_every = 0 -> Sim.context_switch sim
-    | Asid when i > 0 && i mod cfg.flush_every = 0 ->
-        Sim.context_switch ~retain_asid:true sim
-    | Flush | Asid -> ());
-    let before = counters.Counters.cycles in
-    call (w.Workload.gen_request i);
-    services.(i) <- counters.Counters.cycles - before
-  done;
-  let qs = run_queue ~cfg ~mean_service ~services in
-  finish_cell ~cfg ~w ~mean_service ~segments:1 ~qs
-    ~counters:(Sim.measured_counters sim)
-
-(* ------------------------------------------------------------------ *)
-(* Streaming queue engine: the same bounded-FIFO semantics as
-   [simulate_queue], re-expressed as a push API — the driver feeds service
-   times one request at a time, in request-index order, and the engine
-   folds each served request into a caller-provided sink instead of
-   materializing per-request arrays, so million-request cells run in
-   O(1) queue memory.
+(* The queue engine: a single-server bounded FIFO driven by pushes — the
+   caller feeds service times one request at a time, in request-index
+   order, and the engine folds each served request into a
+   caller-provided sink.  Admission is lazy, as in [Multi.quantum_open]:
+   all arrivals up to the current virtual time are admitted (or dropped
+   at a full queue) immediately before each service starts, which
+   reproduces exactly the occupancy a real-time interleaving would have
+   seen because the queue only drains at those same instants.
 
    Why pushing index [k] can resolve [k]'s fate immediately: arrivals are
    sorted and the queue is FIFO, so among admitted requests serve order
    equals index order.  At [stream_push k], every index < k has been
    served or dropped, hence [k] is either at the head of the queue
    (serve), not yet arrived with an idle server (jump to its arrival and
-   admit, exactly [simulate_queue]'s idle rule), or was dropped at a full
-   queue by an earlier admission scan.  Admission scans happen at the
-   same virtual times with the same queue occupancy as in
-   [simulate_queue], so (now, queue, drops) evolve identically —
-   [test_serve] pins the equivalence over random cells.
+   admit), or was dropped at a full queue by an earlier admission scan.
+   [test_serve] pins the engine against an array-based reference queue
+   over random cells.
 
    The engine also hosts the closed-loop client population
    ([Arrival.Closed]): [clients] users each wait for their request's
@@ -523,188 +282,222 @@ let stream_busy_cycles t = t.sq_busy
 let stream_span_cycles t = t.sq_now
 
 (* ------------------------------------------------------------------ *)
-(* Streaming cell accounting: constant-memory per-request accumulation
-   (log-bucket recorder, per-rtype buckets, wait sum, order-sensitive
-   fingerprint).  The raw latency vector is kept only for cells small
-   enough that keeping it is free — large cells report through the
-   recorder and fingerprint alone. *)
 
-let lat_keep_cap = 100_000
-
-type stream_accum = {
-  sa_w : Workload.t;
-  sa_recorder : Latency.t;
-  sa_rt : Latency.t array;
-  sa_keep : int array;  (* [||] above [lat_keep_cap] *)
-  mutable sa_kept : int;
-  mutable sa_wait_cycles : int;
-  mutable sa_fp : int;
+type rtype_stats = {
+  rt_name : string;
+  rt_served : int;
+  rt_mean_us : float;
+  rt_p99_us : float;
 }
 
-let stream_accum (w : Workload.t) ~requests =
-  {
-    sa_w = w;
-    sa_recorder = Latency.create ();
-    sa_rt = Array.map (fun _ -> Latency.create ()) w.Workload.request_type_names;
-    sa_keep = (if requests <= lat_keep_cap then Array.make requests 0 else [||]);
-    sa_kept = 0;
-    sa_wait_cycles = 0;
-    sa_fp = 0;
-  }
+type cell = {
+  cfg : config;
+  workload_name : string;
+  mean_service_cycles : int;  (** base-mode calibration behind [load] *)
+  served : int;
+  dropped : int;
+  lat_cycles : int array;  (** per served request, serve order *)
+  recorder : Latency.t;  (** the same latencies in scaled microseconds *)
+  offered_rps : float;
+  goodput_rps : float;
+  util : float;
+  span_us : float;
+  mean_us : float;
+  p50_us : float;
+  p99_us : float;
+  p999_us : float;
+  mean_wait_us : float;
+  by_rtype : rtype_stats array;
+  lat_fingerprint : int;
+      (** order-sensitive digest of (req, lat, wait) in serve order *)
+  counters : Counters.t;
+}
 
-let accum_sink a ~req ~lat ~wait =
-  let us = Workload.cycles_to_us a.sa_w lat in
-  Latency.record a.sa_recorder us;
-  Latency.record a.sa_rt.((a.sa_w.Workload.gen_request req).Workload.rtype) us;
-  a.sa_wait_cycles <- a.sa_wait_cycles + wait;
-  a.sa_fp <- fp_fold a.sa_fp ~req ~lat ~wait;
-  if Array.length a.sa_keep > 0 then begin
-    a.sa_keep.(a.sa_kept) <- lat;
-    a.sa_kept <- a.sa_kept + 1
-  end
-
-let finish_stream_cell ~cfg ~mean_service ~segments ~(sq : stream_queue)
-    ~(a : stream_accum) ~counters =
-  assemble_cell ~cfg ~w:a.sa_w ~mean_service ~served:sq.sq_served
-    ~dropped:sq.sq_dropped
-    ~lat_cycles:
-      (if Array.length a.sa_keep > 0 then Array.sub a.sa_keep 0 a.sa_kept
-       else [||])
-    ~recorder:a.sa_recorder
-    ~by_rtype:(rtype_stats_of a.sa_w a.sa_rt)
-    ~wait_cycles:a.sa_wait_cycles ~busy:sq.sq_busy ~span:sq.sq_now
-    ~lat_fingerprint:a.sa_fp ~segments ~counters
+(* Order-sensitive digest of the served-request stream: folding (request
+   index, latency, wait) in serve order means two drivers agree iff every
+   per-request outcome matches exactly. *)
+let fp_fold acc ~req ~lat ~wait =
+  Site_hash.mix2 acc (Site_hash.mix2 (Site_hash.mix2 req lat) wait)
 
 (* ------------------------------------------------------------------ *)
-(* Snapshot-segmented generate driver.
+(* Service streams.  A stream is one closed-loop execution of the
+   measured request sequence under a (mode, flush) pair: per-request
+   service cycles in request-index order, plus the measurement-window
+   counters of the same pass.  The Base/No_flush stream doubles as the
+   capacity calibration — its mean is exactly [calibrate_generate]'s,
+   since the request boundaries it notes only fire a tap. *)
 
-   The measured pass of a serving cell is inherently sequential — request
-   i+1's service time depends on the microarchitectural state request i
-   left behind — and the arrival times need the base-mode mean service
-   time, which only a full calibration pass yields.  But for the
-   calibration configuration itself (Base mode, no flushes) the measured
-   stream IS the calibration stream: the calibration pass can harvest a
-   {!Sim.snapshot} at every segment boundary, and the measured pass
-   becomes a re-execution that replays the segments concurrently, each
-   worker restoring its boundary snapshot into a fresh simulator.
-   Per-request service times are bit-identical to the sequential pass by
-   construction (the snapshot captures everything that determines future
-   execution), and the queueing arithmetic consumes them strictly in
-   index order on the calling domain, so the whole cell is bit-identical
-   at any [jobs] — workers only buy wall-clock time.
+type stream = { services : int array; counters : Counters.t }
 
-   For other modes and flush policies the mode pass is distinct from the
-   Base calibration pass, and parallelizing it would require a third,
-   mode-specific snapshot pass — strictly more work than streaming the
-   measured pass directly.  Those cells take the direct streaming path
-   below: same O(segments) memory, sequential wall-clock. *)
+let stream_mean st =
+  max 1 (Array.fold_left ( + ) 0 st.services / max 1 (Array.length st.services))
 
-let run_cell_stream ?ucfg ?skip_cfg ?mean_service ?(jobs = 1) ?segment ~cfg
+(* [Some retain_asid] when the flush policy switches context before
+   stream request [i]. *)
+let switch_before ~flush ~flush_every i =
+  match flush with
+  | No_flush -> None
+  | (Flush | Asid) when i = 0 || i mod flush_every <> 0 -> None
+  | Flush -> Some false
+  | Asid -> Some true
+
+(* Base-mode capacity calibration: the mean service time (cycles per
+   request, closed loop) every load level is expressed against.  Always
+   measured in [Base] so "load 1.0" means the same client behavior for
+   every mode under comparison — the enhanced modes then run the same
+   arrival sequence with shorter service times, which is precisely the
+   capacity head-room being measured. *)
+
+let calibrate_generate ?ucfg ?skip_cfg ?requests ?warmup (w : Workload.t) =
+  let n = Option.value requests ~default:w.Workload.default_requests in
+  let r = Experiment.run ?ucfg ?skip_cfg ~requests:n ?warmup ~mode:Sim.Base w in
+  max 1 (r.Experiment.counters.Counters.cycles / max 1 n)
+
+let generate_stream ?ucfg ?skip_cfg ~mode ~flush ~flush_every ~requests
     (w : Workload.t) =
-  check_config cfg;
-  (match segment with
-  | Some k when k <= 0 ->
-      invalid_arg "Serve.run_cell_stream: segment must be positive"
-  | _ -> ());
-  let n = cfg.requests in
-  let make_sim () =
-    Sim.create ?ucfg ?skip_cfg ~func_align:w.Workload.func_align ~mode:cfg.mode
+  let sim =
+    Sim.create ?ucfg ?skip_cfg ~func_align:w.Workload.func_align ~mode
       w.Workload.objs
   in
-  let call sim kernel (rq : Workload.request) =
+  let kernel = Sim.kernel sim in
+  let call (rq : Workload.request) =
     Kernel.note_boundary kernel ~rtype:rq.Workload.rtype;
     Sim.call sim ~mname:rq.Workload.mname ~fname:rq.Workload.fname
   in
-  let warmup sim kernel =
-    for i = 0 to w.Workload.warmup_requests - 1 do
-      call sim kernel (w.Workload.gen_request (-1 - i))
-    done;
-    Sim.mark_measurement_start sim
+  for i = 0 to w.Workload.warmup_requests - 1 do
+    call (w.Workload.gen_request (-1 - i))
+  done;
+  Sim.mark_measurement_start sim;
+  let counters = Sim.counters sim in
+  let services = Array.make requests 0 in
+  for i = 0 to requests - 1 do
+    (match switch_before ~flush ~flush_every i with
+    | Some retain_asid -> Sim.context_switch ~retain_asid sim
+    | None -> ());
+    let before = counters.Counters.cycles in
+    call (w.Workload.gen_request i);
+    services.(i) <- counters.Counters.cycles - before
+  done;
+  { services; counters = Sim.measured_counters sim }
+
+(* One cell from its service stream: O(requests) queue arithmetic plus
+   per-request accounting (log-bucket recorder, per-rtype buckets, wait
+   sum, fingerprint, raw latency vector). *)
+let cell_of_stream ~cfg ~mean_service (w : Workload.t) st =
+  let recorder = Latency.create () in
+  let rt =
+    Array.map (fun _ -> Latency.create ()) w.Workload.request_type_names
   in
-  let segmented =
-    cfg.mode = Sim.Base && cfg.flush = No_flush && mean_service = None && n > 0
+  let lat_cycles = Array.make cfg.requests 0 in
+  let kept = ref 0 and wait_cycles = ref 0 and fp = ref 0 in
+  let sink ~req ~lat ~wait =
+    let us = Workload.cycles_to_us w lat in
+    Latency.record recorder us;
+    Latency.record rt.((w.Workload.gen_request req).Workload.rtype) us;
+    wait_cycles := !wait_cycles + wait;
+    fp := fp_fold !fp ~req ~lat ~wait;
+    lat_cycles.(!kept) <- lat;
+    incr kept
   in
-  if segmented then begin
-    (* Pass A: the calibration pass, replicating [Experiment.run]'s exact
-       request sequence so the mean equals [calibrate_generate]'s,
-       harvesting a snapshot at each segment boundary.  Base / No_flush
-       means this is also the measured stream, so the measured counters
-       come from here and the snapshots are re-entry points into this
-       very execution. *)
-    let seg_len =
-      let cap_len = ((n - 1) / 256) + 1 in
-      (* at most 256 resident snapshots *)
-      match segment with
-      | Some k -> max k cap_len
-      | None ->
-          let target = max 4 (min 32 (4 * max 1 jobs)) in
-          max cap_len (((n - 1) / target) + 1)
-    in
-    let seg_count = ((n - 1) / seg_len) + 1 in
-    let sim = make_sim () in
-    let kernel = Sim.kernel sim in
-    warmup sim kernel;
-    let snaps = Array.make seg_count None in
-    for i = 0 to n - 1 do
-      if i mod seg_len = 0 then snaps.(i / seg_len) <- Some (Sim.snapshot sim);
-      call sim kernel (w.Workload.gen_request i)
-    done;
-    let counters = Sim.measured_counters sim in
-    let mean_service = max 1 (counters.Counters.cycles / max 1 n) in
-    let a = stream_accum w ~requests:n in
-    let sq = stream_queue ~cfg ~mean_service ~sink:(accum_sink a) in
-    (* Pass B: segmented re-execution.  Workers replay disjoint segments
-       from their boundary snapshots; the calling domain feeds the
-       service times into the queue engine strictly in index order. *)
-    Dpool.run_ordered ~jobs
-      ~produce:(fun j ->
-        let sim_j = make_sim () in
-        (match snaps.(j) with
-        | Some s -> Sim.restore sim_j s
-        | None -> assert false);
-        let kernel_j = Sim.kernel sim_j in
-        let cj = Sim.counters sim_j in
-        let lo = j * seg_len in
-        let hi = min n (lo + seg_len) in
-        let out = Array.make (hi - lo) 0 in
-        for i = lo to hi - 1 do
-          let before = cj.Counters.cycles in
-          call sim_j kernel_j (w.Workload.gen_request i);
-          out.(i - lo) <- cj.Counters.cycles - before
-        done;
-        out)
-      ~consume:(fun j out ->
-        let lo = j * seg_len in
-        Array.iteri (fun k s -> stream_push sq ~req:(lo + k) ~service:s) out)
-      seg_count;
-    finish_stream_cell ~cfg ~mean_service ~segments:seg_count ~sq ~a ~counters
-  end
-  else begin
-    let mean_service =
-      match mean_service with
-      | Some m -> m
-      | None -> calibrate_generate ?ucfg ?skip_cfg ~requests:n w
-    in
-    let sim = make_sim () in
-    let kernel = Sim.kernel sim in
-    warmup sim kernel;
-    let counters = Sim.counters sim in
-    let a = stream_accum w ~requests:n in
-    let sq = stream_queue ~cfg ~mean_service ~sink:(accum_sink a) in
-    for i = 0 to n - 1 do
-      (match cfg.flush with
-      | No_flush -> ()
-      | Flush when i > 0 && i mod cfg.flush_every = 0 -> Sim.context_switch sim
-      | Asid when i > 0 && i mod cfg.flush_every = 0 ->
-          Sim.context_switch ~retain_asid:true sim
-      | Flush | Asid -> ());
-      let before = counters.Counters.cycles in
-      call sim kernel (w.Workload.gen_request i);
-      stream_push sq ~req:i ~service:(counters.Counters.cycles - before)
-    done;
-    finish_stream_cell ~cfg ~mean_service ~segments:1 ~sq ~a
-      ~counters:(Sim.measured_counters sim)
-  end
+  let sq = stream_queue ~cfg ~mean_service ~sink in
+  Array.iteri (fun req service -> stream_push sq ~req ~service) st.services;
+  let served = sq.sq_served in
+  let span = sq.sq_now in
+  let span_s = Workload.cycles_to_us w span *. 1e-6 in
+  let gap_s =
+    Workload.cycles_to_us w
+      (int_of_float (float_of_int mean_service /. cfg.load))
+    *. 1e-6
+  in
+  {
+    cfg;
+    workload_name = w.Workload.wname;
+    mean_service_cycles = mean_service;
+    served;
+    dropped = sq.sq_dropped;
+    lat_cycles = Array.sub lat_cycles 0 served;
+    recorder;
+    offered_rps = (if gap_s > 0.0 then 1.0 /. gap_s else Float.nan);
+    goodput_rps = (if span_s > 0.0 then float_of_int served /. span_s else 0.0);
+    util =
+      (if span > 0 then float_of_int sq.sq_busy /. float_of_int span else 0.0);
+    span_us = Workload.cycles_to_us w span;
+    mean_us = Latency.mean recorder;
+    p50_us = Latency.p50 recorder;
+    p99_us = Latency.p99 recorder;
+    p999_us = Latency.p999 recorder;
+    mean_wait_us =
+      (if served = 0 then Float.nan
+       else Workload.cycles_to_us w !wait_cycles /. float_of_int served);
+    by_rtype =
+      Array.mapi
+        (fun i name ->
+          {
+            rt_name = name;
+            rt_served = Latency.count rt.(i);
+            rt_mean_us = Latency.mean rt.(i);
+            rt_p99_us = Latency.p99 rt.(i);
+          })
+        w.Workload.request_type_names;
+    lat_fingerprint = !fp;
+    counters = st.counters;
+  }
+
+(* The serving driver shared by every entry point: execute each distinct
+   (mode, flush) stream once — the calibration stream included unless
+   [mean_service] is given — on the domain pool, then run every cell's
+   queue arithmetic over its stream.  A stream is inherently sequential
+   (request i+1's service depends on the state request i left behind),
+   so parallelism is across distinct streams and across cells only; the
+   results are identical at any [jobs]. *)
+
+let calibration_key = (Sim.Base, No_flush)
+
+let stream_keys ?mean_service cfgs =
+  let keys = List.map (fun c -> (c.mode, c.flush)) cfgs in
+  let keys = if mean_service = None then calibration_key :: keys else keys in
+  List.rev
+    (List.fold_left
+       (fun acc k -> if List.mem k acc then acc else k :: acc)
+       [] keys)
+
+let run_cells ?(jobs = 1) ?mean_service ~stream (w : Workload.t) cfgs =
+  List.iter check_config cfgs;
+  (match cfgs with
+  | c :: rest ->
+      if
+        List.exists
+          (fun c' ->
+            c'.requests <> c.requests || c'.flush_every <> c.flush_every)
+          rest
+      then
+        invalid_arg
+          "Serve.run_cells: cells must share requests and flush_every"
+  | [] -> ());
+  let keys = stream_keys ?mean_service cfgs in
+  let streams =
+    List.combine keys
+      (Dpool.map ~jobs (fun (mode, flush) -> stream ~mode ~flush) keys)
+  in
+  let mean_service =
+    match mean_service with
+    | Some m -> m
+    | None -> stream_mean (List.assoc calibration_key streams)
+  in
+  Dpool.map ~jobs
+    (fun cfg ->
+      cell_of_stream ~cfg ~mean_service w
+        (List.assoc (cfg.mode, cfg.flush) streams))
+    cfgs
+
+let run_cell_stream ?ucfg ?skip_cfg ?mean_service ?jobs ~cfg (w : Workload.t) =
+  let stream ~mode ~flush =
+    generate_stream ?ucfg ?skip_cfg ~mode ~flush ~flush_every:cfg.flush_every
+      ~requests:cfg.requests w
+  in
+  match run_cells ?jobs ?mean_service ~stream w [ cfg ] with
+  | [ c ] -> c
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 
@@ -720,7 +513,6 @@ let cell_json ?(hist = false) (c : cell) =
       ("queue_cap", Json.Int c.cfg.queue_cap);
       ("requests", Json.Int c.cfg.requests);
       ("seed", Json.Int c.cfg.seed);
-      ("segments", Json.Int c.segments);
       ("mean_service_cycles", Json.Int c.mean_service_cycles);
       ("served", Json.Int c.served);
       ("dropped", Json.Int c.dropped);
@@ -733,6 +525,7 @@ let cell_json ?(hist = false) (c : cell) =
       ("p50_us", f c.p50_us);
       ("p99_us", f c.p99_us);
       ("p999_us", f c.p999_us);
+      ("lat_fingerprint", Json.Int c.lat_fingerprint);
       ( "by_rtype",
         Json.List
           (Array.to_list

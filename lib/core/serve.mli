@@ -6,10 +6,15 @@
     admission queue whose service times come from executing each request
     on the pipeline kernel.  Latency = queue wait + service, in simulated
     cycles; no host clock anywhere, so cells are bit-reproducible from
-    their seeds.  The generate driver lives here; the packed-trace replay
-    mirror is {!Dlink_trace.Serve_replay}, and both share the queue
-    engine below over the same service-time vector, so their per-request
-    latencies are bit-identical. *)
+    their seeds.
+
+    Service times depend on the (mode, flush) execution stream only,
+    never on offered load: a cell is one pass over a {!stream} — the
+    per-request service cycles of one closed-loop execution — followed by
+    O(requests) queue arithmetic.  The generate source lives here
+    ({!generate_stream}); the packed-trace replay source is
+    {!Dlink_trace.Serve_replay}.  Both feed {!run_cells}, so their
+    per-request latencies are bit-identical. *)
 
 open Dlink_uarch
 
@@ -39,114 +44,11 @@ val check_config : config -> unit
 (** Raises [Invalid_argument] on a non-positive/non-finite load or
     non-positive queue_cap/flush_every. *)
 
-(** {2 Queue engine} *)
+(** {2 Queue engine}
 
-type queue_stats = {
-  q_served : int;
-  q_dropped : int;
-  q_reqs : int array;  (** request index per served request, serve order *)
-  q_lat_cycles : int array;  (** queue wait + service, serve order *)
-  q_wait_cycles : int array;
-  q_busy : int;
-  q_span : int;  (** completion time of the last served request *)
-}
-
-val simulate_queue :
-  arrivals:int array ->
-  queue_cap:int ->
-  service:(nth:int -> req:int -> int) ->
-  queue_stats
-(** Single-server bounded FIFO queue over sorted absolute [arrivals].
-    [service ~nth ~req] executes request [req] (its arrival index) as the
-    [nth] request served and returns its service time; an arrival finding
-    the queue full is dropped; an empty queue idles to the next
-    arrival. *)
-
-(** {2 Cells} *)
-
-type rtype_stats = {
-  rt_name : string;
-  rt_served : int;
-  rt_mean_us : float;
-  rt_p99_us : float;
-}
-
-type cell = {
-  cfg : config;
-  workload_name : string;
-  mean_service_cycles : int;  (** base-mode calibration behind [load] *)
-  served : int;
-  dropped : int;
-  lat_cycles : int array;  (** per served request, serve order *)
-  recorder : Dlink_stats.Latency.t;
-  offered_rps : float;
-  goodput_rps : float;
-  util : float;
-  span_us : float;
-  mean_us : float;
-  p50_us : float;
-  p99_us : float;
-  p999_us : float;
-  mean_wait_us : float;
-  by_rtype : rtype_stats array;
-  lat_fingerprint : int;
-      (** Order-sensitive digest of (request index, latency, wait) folded
-          in serve order — two drivers produce the same fingerprint iff
-          every per-request outcome matches, even when [lat_cycles] is
-          not materialized. *)
-  segments : int;
-      (** Replay segments the measured pass ran as (1 = whole pass). *)
-  counters : Counters.t;
-}
-
-val calibrate_generate :
-  ?ucfg:Config.t ->
-  ?skip_cfg:Dlink_pipeline.Skip.config ->
-  ?requests:int ->
-  ?warmup:int ->
-  Workload.t ->
-  int
-(** Mean base-mode service cycles per request (closed loop) — the
-    capacity every [load] value is expressed against, measured in [Base]
-    for every mode so all modes see the same arrival sequence. *)
-
-val run_queue :
-  cfg:config -> mean_service:int -> services:int array -> queue_stats
-(** Arrival generation + {!simulate_queue} for one cell over a
-    precomputed per-request service-time vector; shared by the generate
-    and replay drivers.  Cells are trace-driven queueing simulations: the
-    execution stream is always the full closed-loop sequence (flush
-    policy keyed by stream index), so drops affect queueing only, never
-    machine state — the property that makes generate and replay cells
-    bit-identical. *)
-
-val finish_cell :
-  cfg:config ->
-  w:Workload.t ->
-  mean_service:int ->
-  segments:int ->
-  qs:queue_stats ->
-  counters:Counters.t ->
-  cell
-
-val run_cell_generate :
-  ?ucfg:Config.t ->
-  ?skip_cfg:Dlink_pipeline.Skip.config ->
-  ?mean_service:int ->
-  cfg:config ->
-  Workload.t ->
-  cell
-(** One cell via live interpretation ({!Sim}); calibrates with
-    {!calibrate_generate} unless [mean_service] is given.  Raises
-    [Invalid_argument] on a bad config. *)
-
-(** {2 Streaming queue engine}
-
-    The push-based mirror of {!simulate_queue}: service times are fed one
-    request at a time, in request-index order, and each served request is
-    folded into a caller-provided sink instead of per-request arrays —
-    O(1) queue memory at any cell size, bit-identical outcomes (pinned by
-    the equivalence tests).  This engine is also the only driver for
+    Service times are fed one request at a time, in request-index order,
+    and each served request is folded into a caller-provided sink — O(1)
+    queue memory at any cell size.  The engine also drives
     {!Dlink_util.Arrival.Closed} cells, whose arrivals are coupled to
     completions: a fixed client population thinks (exponential, mean set
     by the interactive response-time law [S * (clients/load - 1)])
@@ -178,64 +80,112 @@ val stream_busy_cycles : stream_queue -> int
 val stream_span_cycles : stream_queue -> int
 (** Completion time of the last served request so far. *)
 
-val lat_keep_cap : int
-(** Largest request count for which streaming cells still materialize
-    [lat_cycles]; above it the raw vector is [[||]] and reporting flows
-    through the recorder and {!cell.lat_fingerprint}. *)
+(** {2 Cells} *)
 
-type stream_accum
-(** Constant-memory per-request accounting for a streaming cell:
-    log-bucket recorder, per-rtype buckets, wait sum, order-sensitive
-    fingerprint, and (for cells within {!lat_keep_cap}) the raw latency
-    vector. *)
+type rtype_stats = {
+  rt_name : string;
+  rt_served : int;
+  rt_mean_us : float;
+  rt_p99_us : float;
+}
 
-val stream_accum : Workload.t -> requests:int -> stream_accum
+type cell = {
+  cfg : config;
+  workload_name : string;
+  mean_service_cycles : int;  (** base-mode calibration behind [load] *)
+  served : int;
+  dropped : int;
+  lat_cycles : int array;  (** per served request, serve order *)
+  recorder : Dlink_stats.Latency.t;
+  offered_rps : float;
+  goodput_rps : float;
+  util : float;
+  span_us : float;
+  mean_us : float;
+  p50_us : float;
+  p99_us : float;
+  p999_us : float;
+  mean_wait_us : float;
+  by_rtype : rtype_stats array;
+  lat_fingerprint : int;
+      (** Order-sensitive digest of (request index, latency, wait) folded
+          in serve order — two drivers produce the same fingerprint iff
+          every per-request outcome matches. *)
+  counters : Counters.t;  (** measurement window of the cell's stream *)
+}
 
-val accum_sink : stream_accum -> stream_sink
-(** The sink that folds served requests into the accumulator; pass to
-    {!stream_queue}. *)
+val calibrate_generate :
+  ?ucfg:Config.t ->
+  ?skip_cfg:Dlink_pipeline.Skip.config ->
+  ?requests:int ->
+  ?warmup:int ->
+  Workload.t ->
+  int
+(** Mean base-mode service cycles per request (closed loop) — the
+    capacity every [load] value is expressed against, measured in [Base]
+    for every mode so all modes see the same arrival sequence. *)
 
-val finish_stream_cell :
-  cfg:config ->
-  mean_service:int ->
-  segments:int ->
-  sq:stream_queue ->
-  a:stream_accum ->
-  counters:Counters.t ->
-  cell
-(** Assemble a {!cell} from a fully-pushed engine and its accumulator —
-    the streaming mirror of {!finish_cell}. *)
+(** {2 Service streams} *)
+
+type stream = {
+  services : int array;  (** service cycles per request, index order *)
+  counters : Counters.t;  (** measurement-window counters of the pass *)
+}
+(** One closed-loop execution of the measured request sequence under a
+    (mode, flush) pair.  Drops never touch machine state, so every load
+    and arrival process over that pair shares the stream. *)
+
+val stream_mean : stream -> int
+(** [max 1 (sum / n)].  For the Base/No_flush stream this equals
+    {!calibrate_generate} bit for bit. *)
+
+val switch_before : flush:flush -> flush_every:int -> int -> bool option
+(** [Some retain_asid] when the flush policy switches context before
+    stream request [i] (every [flush_every] requests, never before the
+    first). *)
+
+val generate_stream :
+  ?ucfg:Config.t ->
+  ?skip_cfg:Dlink_pipeline.Skip.config ->
+  mode:Sim.mode ->
+  flush:flush ->
+  flush_every:int ->
+  requests:int ->
+  Workload.t ->
+  stream
+(** The stream by live interpretation ({!Sim}): warmup, then [requests]
+    measured requests with the flush policy applied by stream index. *)
+
+val stream_keys : ?mean_service:int -> config list -> (Sim.mode * flush) list
+(** Distinct (mode, flush) streams the cells need, first-use order; the
+    calibration stream leads unless [mean_service] is given. *)
+
+val run_cells :
+  ?jobs:int ->
+  ?mean_service:int ->
+  stream:(mode:Sim.mode -> flush:flush -> stream) ->
+  Workload.t ->
+  config list ->
+  cell list
+(** Execute each of {!stream_keys} once with [stream] on up to [jobs]
+    domains, take the calibration from the Base/No_flush stream unless
+    [mean_service] is given, and run each cell's queue arithmetic over
+    its stream.  Cells come back in input order and are identical at any
+    [jobs].  Raises [Invalid_argument] on a bad config or on cells that
+    differ in [requests] or [flush_every]. *)
 
 val run_cell_stream :
   ?ucfg:Config.t ->
   ?skip_cfg:Dlink_pipeline.Skip.config ->
   ?mean_service:int ->
   ?jobs:int ->
-  ?segment:int ->
   cfg:config ->
   Workload.t ->
   cell
-(** One cell via the streaming engine, bit-identical to
-    {!run_cell_generate} (same [lat_fingerprint], recorder, counters) but
-    with memory O(segments) instead of O(requests) — the driver for
-    million-request cells.
-
-    For the calibration configuration itself ([Base] mode, [No_flush],
-    no [mean_service] override) the measured stream equals the
-    calibration stream, so the calibration pass harvests a
-    {!Sim.snapshot} every [segment] requests (default: requests spread
-    over [4 * jobs] segments, clamped to [4, 32]) and the measured pass
-    re-executes the segments concurrently on up to [jobs] domains via
-    {!Dlink_util.Dpool.run_ordered}, each worker restoring its boundary
-    snapshot into a fresh simulator — bit-identical at any [jobs], since
-    the queueing arithmetic consumes service times strictly in index
-    order on the calling domain.  Other modes and flush policies run the
-    measured pass sequentially (parallelizing them would need a third,
-    mode-specific snapshot pass), still streaming.  [segment] is clamped
-    up so at most 256 snapshots are resident.
-
-    Raises [Invalid_argument] on a bad config or non-positive
-    [segment]. *)
+(** One cell over generated streams: a single pass for a Base/No_flush
+    cell (its stream is the calibration), otherwise the cell's stream and
+    the calibration stream run concurrently on up to [jobs] domains.
+    Raises [Invalid_argument] on a bad config. *)
 
 val cell_json : ?hist:bool -> cell -> Dlink_util.Json.t
 (** Cell report; with [hist], includes the log-bucket latency histogram

@@ -81,35 +81,3 @@ let mark_measurement_start t =
   t.snapshot <- Counters.copy (counters t)
 
 let measured_counters t = Counters.diff ~after:(counters t) ~before:t.snapshot
-
-(* Whole-simulator snapshot for segmented serving: kernel (uarch tables,
-   skip controller, counters) + process (memory, PC, SP, site counters) +
-   the measurement baseline.  The profile is NOT captured: it is
-   reporting-side instrumentation, and the segmented driver only needs the
-   state that determines future execution and cycle accounting.  The
-   loader/space is immutable during serving (the resolver rebinds through
-   memory writes only), so restoring into a fresh [create]-d simulator of
-   the same mode/objects/seed reproduces execution exactly. *)
-
-type snap = {
-  sn_kernel : Kernel.snap;
-  sn_process : Process.snap;
-  sn_baseline : Counters.t;
-}
-
-let snapshot t =
-  {
-    sn_kernel = Kernel.snapshot t.kernel;
-    sn_process = Process.snapshot t.process;
-    sn_baseline = Counters.copy t.snapshot;
-  }
-
-let restore t s =
-  Kernel.restore t.kernel s.sn_kernel;
-  Process.restore t.process s.sn_process;
-  t.snapshot <- Counters.copy s.sn_baseline
-
-let state_fingerprint t =
-  Dlink_util.Site_hash.mix2
-    (Kernel.fingerprint t.kernel)
-    (Process.arch_fingerprint t.process)

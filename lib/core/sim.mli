@@ -83,21 +83,3 @@ val mark_measurement_start : t -> unit
     {!measured_counters} are relative to this point. *)
 
 val measured_counters : t -> Counters.t
-
-type snap
-(** Frozen copy of everything that determines future execution and cycle
-    accounting: kernel (tables, predictors, skip controller, counters),
-    process (memory, PC, SP, site counters), and the measurement baseline.
-    The profile is reporting-side instrumentation and is not captured. *)
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-(** Overwrite [t] with the snapshot.  The target must be a simulator of
-    the same mode, objects, uarch config, and (absent) ASLR seed — i.e.
-    built by the same [create] call — so the shared loader state matches;
-    segment workers build a fresh simulator each and restore into it. *)
-
-val state_fingerprint : t -> int
-(** Deterministic digest of microarchitectural + architectural state
-    (counters and profile excluded). *)

@@ -209,39 +209,6 @@ let call t ?(fuel = 50_000_000) addr =
 
 let arch_fingerprint t = Site_hash.mix2 (Memory.fingerprint t.mem) t.sp
 
-(* Snapshot/restore of the full architectural state — memory image, PC,
-   SP, retirement count, per-site occurrence counters.  The loader/space
-   is shared by reference: it is immutable during serving (the resolver
-   rebinds symbols by writing GOT slots through [Memory], never by
-   touching the loader), so a restored process re-executes identically. *)
-
-type snap = {
-  s_mem : Memory.t;
-  s_pc : Addr.t;
-  s_sp : Addr.t;
-  s_retired : int;
-  s_site_counts : int array;
-}
-
-let snapshot t =
-  {
-    s_mem = Memory.copy t.mem;
-    s_pc = t.pc;
-    s_sp = t.sp;
-    s_retired = t.retired;
-    s_site_counts = Array.copy t.site_counts;
-  }
-
-let restore t s =
-  Memory.blit ~src:s.s_mem ~dst:t.mem;
-  t.pc <- s.s_pc;
-  t.sp <- s.s_sp;
-  t.retired <- s.s_retired;
-  let n = Array.length s.s_site_counts in
-  ensure_site t (n - 1);
-  Array.blit s.s_site_counts 0 t.site_counts 0 n;
-  Array.fill t.site_counts n (Array.length t.site_counts - n) 0
-
 let resync_arch t ~from_ =
   Memory.blit ~src:from_.mem ~dst:t.mem;
   t.sp <- from_.sp;

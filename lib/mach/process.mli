@@ -58,16 +58,3 @@ val resync_arch : t -> from_:t -> unit
     occurrence counters) with [from_]'s.  Both must run the same loaded
     image.  The differential oracle uses this to re-converge a run after a
     detected mis-skip corrupted its architectural state. *)
-
-type snap
-(** Frozen copy of the architectural state: memory image, PC, SP, retired
-    count, per-site occurrence counters.  The loader is shared by
-    reference (immutable during serving — the resolver rebinds only
-    through memory writes). *)
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-(** Overwrite [t]'s architectural state with the snapshot.  The target
-    must run the same loaded image.  A snapshot may be restored into many
-    processes without aliasing. *)

@@ -222,35 +222,3 @@ let replay_events t (c : Trace.Cursor.t) ~stop =
 let replay_request t (c : Trace.Cursor.t) r =
   Trace.Cursor.seek_request c r;
   replay_events t c ~stop:c.Trace.Cursor.trace.Trace.req_start.(r + 1)
-
-(* ------------------------------------------------------------------ *)
-(* Snapshot/restore — the capability behind segmented replay (DESIGN
-   §4.14).  A snapshot freezes everything the retire pipeline reads or
-   writes: the engine (tables, predictors, counters, ASID) and the skip
-   controller (ABTB, filter, shadows, idiom window, quarantine).  The
-   driver-owned attachments — [read_got], [profile], [got_sink], [tap],
-   [boundary_tap] — are deliberately NOT captured: they are wiring, not
-   state, and each restore target keeps its own.  Counters are restored in
-   place (the kernel and engine share one record, and drivers hold it by
-   reference via [counters t]).
-
-   Cost: dominated by the cache tables' bigarray blits — a few MiB,
-   flat memcpy, no per-entry work — cheap enough to take every K requests
-   during a calibration pass. *)
-
-type snap = { k_engine : Engine.snap; k_skip : Skip.snap option }
-
-let snapshot t =
-  { k_engine = Engine.snapshot t.engine; k_skip = Option.map Skip.snapshot t.skip }
-
-let restore t s =
-  Engine.restore t.engine s.k_engine;
-  match (t.skip, s.k_skip) with
-  | Some sk, Some ss -> Skip.restore sk ss
-  | None, None -> ()
-  | _ -> invalid_arg "Kernel.restore: skip-controller presence mismatch"
-
-let fingerprint t =
-  Hashtbl.hash
-    ( Engine.fingerprint t.engine,
-      match t.skip with Some s -> Skip.fingerprint s | None -> 0 )

@@ -129,25 +129,3 @@ val replay_events : t -> Trace.Cursor.t -> stop:int -> unit
 
 (** Seek to request [r] and replay it to its boundary. *)
 val replay_request : t -> Trace.Cursor.t -> int -> unit
-
-type snap
-(** Frozen copy of everything the retire pipeline reads or writes: engine
-    tables/predictors/counters/ASID plus the skip controller's full state.
-    Driver attachments (profile, taps, sinks, GOT reader) are wiring, not
-    state, and are not captured.  Dominated by flat bigarray blits — cheap
-    enough to take every K requests. *)
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-(** Overwrite [t] with the snapshot.  The target must have been built with
-    the same {!Dlink_mach.Config.t} geometry and the same [with_skip] as
-    the snapshotted kernel ([Invalid_argument] otherwise).  Counters are
-    restored in place, preserving the identity of the record returned by
-    {!counters}.  A snapshot may be restored into many kernels (one per
-    replay segment) without aliasing. *)
-
-val fingerprint : t -> int
-(** Deterministic digest of the kernel's microarchitectural state (tables,
-    predictors, skip shadows; counters excluded — compare those
-    directly). *)

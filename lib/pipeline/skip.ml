@@ -64,14 +64,11 @@ type t = {
   read_got : Addr.t -> int;
   (* Exact shadow of GOT slots backing live-or-evicted entries since the
      last clear, keyed by (asid, slot); used only to classify Bloom hits as
-     true or false.  Mutable (like [live_asids] and [quarantined]) so
-     snapshot restore can swap in a structure-preserving [Hashtbl.copy] —
-     fold order over a copy matches the original, which matters for
-     [on_remote_store]'s probe order. *)
-  mutable exact_slots : (int * Addr.t, unit) Hashtbl.t;
+     true or false. *)
+  exact_slots : (int * Addr.t, unit) Hashtbl.t;
   (* Address spaces with live filter entries since the last clear; a remote
      invalidation must probe the filter under each of them. *)
-  mutable live_asids : (int, unit) Hashtbl.t;
+  live_asids : (int, unit) Hashtbl.t;
   mutable asid : int;
   (* Half-observed call/jump idiom: pc and target of the last retired
      eligible call, or [Addr.none] when none is pending.  Two plain ints
@@ -82,7 +79,7 @@ type t = {
      mapped to the number of further skip opportunities to suppress.  Keyed
      by physical set index, so the window survives whole-table clears and
      context switches like the hardware state it models. *)
-  mutable quarantined : (int, int) Hashtbl.t;
+  quarantined : (int, int) Hashtbl.t;
   (* Fault-injection hook: when set, consulted before every filter-driven
      clear; returning [true] suppresses the clear (models a lost clear
      pulse).  Never set outside the fault harness. *)
@@ -312,64 +309,3 @@ let on_retire t (ev : Event.t) =
   let store = match ev.store with Some a -> a | None -> Addr.none in
   let kind, target, aux, _taken = Event.pack_branch ev.branch in
   on_retire_packed t ~pc:ev.pc ~size:ev.size ~store ~kind ~target ~aux
-
-(* Snapshot/restore for segmented replay.  The hashtable shadows are
-   captured with [Hashtbl.copy], which preserves bucket structure and
-   therefore fold order — [on_remote_store] probes [live_asids] in fold
-   order, so a restored controller must fold identically.  [clear_veto] is
-   deliberately excluded: it is a fault-harness hook, never set on the
-   serving path, and a closure cannot be meaningfully copied. *)
-
-type snap = {
-  s_abtb : Abtb.snap;
-  s_bloom : Bloom.snap;
-  s_exact_slots : (int * Addr.t, unit) Hashtbl.t;
-  s_live_asids : (int, unit) Hashtbl.t;
-  s_asid : int;
-  s_pending_pc : Addr.t;
-  s_pending_target : Addr.t;
-  s_quarantined : (int, int) Hashtbl.t;
-  s_degraded : int;
-}
-
-let snapshot t =
-  {
-    s_abtb = Abtb.snapshot t.abtb;
-    s_bloom = Bloom.snapshot t.bloom;
-    s_exact_slots = Hashtbl.copy t.exact_slots;
-    s_live_asids = Hashtbl.copy t.live_asids;
-    s_asid = t.asid;
-    s_pending_pc = t.pending_pc;
-    s_pending_target = t.pending_target;
-    s_quarantined = Hashtbl.copy t.quarantined;
-    s_degraded = t.degraded;
-  }
-
-let restore t s =
-  Abtb.restore t.abtb s.s_abtb;
-  Bloom.restore t.bloom s.s_bloom;
-  t.exact_slots <- Hashtbl.copy s.s_exact_slots;
-  t.live_asids <- Hashtbl.copy s.s_live_asids;
-  t.asid <- s.s_asid;
-  t.pending_pc <- s.s_pending_pc;
-  t.pending_target <- s.s_pending_target;
-  t.quarantined <- Hashtbl.copy s.s_quarantined;
-  t.degraded <- s.s_degraded
-
-let fingerprint t =
-  let htbl_fp h =
-    (* Order-insensitive: XOR of per-binding hashes. *)
-    Hashtbl.fold (fun k v acc -> acc lxor Hashtbl.hash (k, v)) h 0
-  in
-  Hashtbl.hash
-    [
-      Abtb.fingerprint t.abtb;
-      Bloom.fingerprint t.bloom;
-      htbl_fp t.exact_slots;
-      htbl_fp t.live_asids;
-      t.asid;
-      t.pending_pc;
-      t.pending_target;
-      htbl_fp t.quarantined;
-      t.degraded;
-    ]

@@ -168,20 +168,3 @@ exception Misspeculation of string
 (** Raised only under [verify_targets] if a skip would diverge from the
     architectural GOT state — this never fires when the Bloom-clear
     invariant holds. *)
-
-type snap
-(** Frozen copy of the controller: ABTB, filter, shadow tables, idiom
-    window, quarantine and degradation state.  The fault-injection
-    [clear_veto] hook is excluded (never set on the serving path). *)
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-(** Overwrite [t] with the snapshot.  The hashtable shadows are restored
-    as structure-preserving copies, so iteration order (which
-    {!on_remote_store} depends on) matches the snapshotted controller
-    exactly.  A snapshot may be restored into many controllers. *)
-
-val fingerprint : t -> int
-(** Deterministic digest of the controller's observable state (counters
-    excluded). *)

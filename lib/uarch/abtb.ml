@@ -27,13 +27,3 @@ let n_sets t = Assoc_table.sets t.table
 let valid_count ?asid t = Assoc_table.valid_count ?tag:asid t.table
 let storage_bytes t = 12 * t.n_entries
 let iter f t = Assoc_table.iter f t.table
-
-type snap = entry Assoc_table.snap
-
-let snapshot t = Assoc_table.snapshot t.table
-let restore t s = Assoc_table.restore t.table s
-
-let fingerprint t =
-  Assoc_table.fingerprint
-    ~hash_value:(fun e -> Dlink_util.Site_hash.mix2 e.func e.got_slot)
-    t.table

@@ -49,9 +49,3 @@ val storage_bytes : t -> int
 (** 12 bytes per entry, as estimated in the paper. *)
 
 val iter : (Addr.t -> entry -> unit) -> t -> unit
-
-type snap
-
-val snapshot : t -> snap
-val restore : t -> snap -> unit
-val fingerprint : t -> int

@@ -253,81 +253,3 @@ let iter f t =
   for i = 0 to Bigarray.Array1.dim t.keys - 1 do
     if t.keys.{i} >= 0 then f t.keys.{i} t.values.(i)
   done
-
-(* Snapshot/restore: the per-slot vectors are copied wholesale with
-   [Bigarray.Array1.blit] (flat off-heap memcpy, no per-slot work), the
-   values array with [Array.blit] (entries are immutable payloads), and the
-   scalar clocks by value.  A snapshot is only meaningful for a table of
-   the same geometry — the segmented replay driver restores into a table
-   built by the same [Uarch.Config], so dims always match; the check is a
-   cheap guard against driver bugs.  [tag_floors] is copied on both sides:
-   the live table may grow (and therefore replace) its array after the
-   snapshot was taken, and a restored table must not alias the snapshot's
-   copy, which may be restored into several segment workers. *)
-
-type 'v snap = {
-  s_keys : ints;
-  s_tags : ints;
-  s_values : 'v array;
-  s_stamps : ints;
-  s_tick : int;
-  s_epochs : ints;
-  s_seen_clock : ints;
-  s_clock : int;
-  s_global_floor : int;
-  s_tag_floors : ints;
-}
-
-let copy_ints (a : ints) : ints =
-  let b =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-      (Bigarray.Array1.dim a)
-  in
-  Bigarray.Array1.blit a b;
-  b
-
-let snapshot t =
-  {
-    s_keys = copy_ints t.keys;
-    s_tags = copy_ints t.tags;
-    s_values = Array.copy t.values;
-    s_stamps = copy_ints t.stamps;
-    s_tick = t.tick;
-    s_epochs = copy_ints t.epochs;
-    s_seen_clock = copy_ints t.seen_clock;
-    s_clock = t.clock;
-    s_global_floor = t.global_floor;
-    s_tag_floors = copy_ints t.tag_floors;
-  }
-
-let restore t s =
-  if Bigarray.Array1.dim s.s_keys <> Bigarray.Array1.dim t.keys then
-    invalid_arg "Assoc_table.restore: geometry mismatch";
-  Bigarray.Array1.blit s.s_keys t.keys;
-  Bigarray.Array1.blit s.s_tags t.tags;
-  Array.blit s.s_values 0 t.values 0 (Array.length t.values);
-  Bigarray.Array1.blit s.s_stamps t.stamps;
-  Bigarray.Array1.blit s.s_epochs t.epochs;
-  Bigarray.Array1.blit s.s_seen_clock t.seen_clock;
-  t.tick <- s.s_tick;
-  t.clock <- s.s_clock;
-  t.global_floor <- s.s_global_floor;
-  t.tag_floors <- copy_ints s.s_tag_floors
-
-(* Order-sensitive digest of the table's observable contents (valid slots:
-   key, tag, LRU stamp, value) — used by the snapshot round-trip tests to
-   compare whole-table dumps without materializing them.  Reconciles first
-   so two tables with the same observable state but different lazy-clear
-   debts digest identically. *)
-let fingerprint ?(hash_value = Hashtbl.hash) t =
-  reconcile_all t;
-  let acc = ref (Site_hash.mix2 t.sets t.ways) in
-  for i = 0 to Bigarray.Array1.dim t.keys - 1 do
-    if t.keys.{i} >= 0 then
-      acc :=
-        Site_hash.mix2 !acc
-          (Site_hash.mix2
-             (Site_hash.mix2 t.keys.{i} t.tags.{i})
-             (Site_hash.mix2 t.stamps.{i} (hash_value t.values.(i))))
-  done;
-  !acc

@@ -75,21 +75,3 @@ val clear_set : 'v t -> int -> unit
 
 val valid_count : ?tag:int -> 'v t -> int
 val iter : (int -> 'v -> unit) -> 'v t -> unit
-
-type 'v snap
-(** Frozen copy of a table's full state: slot vectors (bigarray blits),
-    values, LRU tick and the generation clocks. *)
-
-val snapshot : 'v t -> 'v snap
-
-val restore : 'v t -> 'v snap -> unit
-(** Overwrite [t] with the snapshot's state.  The target must have the
-    same geometry (sets x ways) as the snapshotted table; raises
-    [Invalid_argument] otherwise.  A snapshot may be restored into many
-    tables (segment workers) without aliasing. *)
-
-val fingerprint : ?hash_value:('v -> int) -> 'v t -> int
-(** Deterministic digest of the observable contents (valid keys, tags,
-    LRU stamps, values).  Reconciles pending lazy clears first, so equal
-    observable state yields equal fingerprints regardless of clear
-    debt. *)

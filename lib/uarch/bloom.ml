@@ -104,52 +104,6 @@ let clear_bit t i =
 let bits_set t = t.set_bits
 let size_bits t = t.mask + 1
 
-(* Snapshot/restore: two flat blits plus the scalars.  Geometry (mask,
-   hashes) is carried for the restore-target check; a snapshot may be
-   restored into many filters without aliasing since bigarray blits copy. *)
-
-type snap = {
-  s_words : ints;
-  s_word_epoch : ints;
-  s_epoch : int;
-  s_mask : int;
-  s_set_bits : int;
-}
-
-let copy_ints (a : ints) : ints =
-  let b =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-      (Bigarray.Array1.dim a)
-  in
-  Bigarray.Array1.blit a b;
-  b
-
-let snapshot t =
-  {
-    s_words = copy_ints t.words;
-    s_word_epoch = copy_ints t.word_epoch;
-    s_epoch = t.epoch;
-    s_mask = t.mask;
-    s_set_bits = t.set_bits;
-  }
-
-let restore t s =
-  if s.s_mask <> t.mask then invalid_arg "Bloom.restore: geometry mismatch";
-  Bigarray.Array1.blit s.s_words t.words;
-  Bigarray.Array1.blit s.s_word_epoch t.word_epoch;
-  t.epoch <- s.s_epoch;
-  t.set_bits <- s.s_set_bits
-
-(* Digest of the live bit field (stale words read as zero), for the
-   snapshot round-trip tests. *)
-let fingerprint t =
-  let acc = ref (mix2 t.set_bits t.hashes) in
-  for w = 0 to Bigarray.Array1.dim t.words - 1 do
-    let v = word_at t w in
-    if v <> 0 then acc := mix2 !acc (mix2 w v)
-  done;
-  !acc
-
 let false_positive_rate t =
   let frac = float_of_int t.set_bits /. float_of_int (size_bits t) in
   Float.pow frac (float_of_int t.hashes)

@@ -38,16 +38,3 @@ val size_bits : t -> int
 
 val false_positive_rate : t -> float
 (** Theoretical rate for the current occupancy. *)
-
-type snap
-(** Frozen copy of the filter: packed bit words, per-word stamps, epoch. *)
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-(** Overwrite [t] with the snapshot's state.  Target must have the same
-    size; raises [Invalid_argument] otherwise. *)
-
-val fingerprint : t -> int
-(** Deterministic digest of the live bit field (stale words count as
-    zero) — equal observable filters digest equal. *)

@@ -8,9 +8,3 @@ let predict_default t pc = Assoc_table.find_default t ~tag:0 pc ~default:Addr.no
 let update t pc target = Assoc_table.insert t ~tag:0 pc target
 let flush t = Assoc_table.clear t
 let valid_count t = Assoc_table.valid_count t
-
-type snap = Addr.t Assoc_table.snap
-
-let snapshot t = Assoc_table.snapshot t
-let restore t s = Assoc_table.restore t s
-let fingerprint (t : t) = Assoc_table.fingerprint ~hash_value:(fun a -> a) t

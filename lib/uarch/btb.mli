@@ -16,9 +16,3 @@ val predict_default : t -> Addr.t -> Addr.t
 val update : t -> Addr.t -> Addr.t -> unit
 val flush : t -> unit
 val valid_count : t -> int
-
-type snap
-
-val snapshot : t -> snap
-val restore : t -> snap -> unit
-val fingerprint : t -> int

@@ -16,9 +16,3 @@ let access t a = Assoc_table.touch t.table ~tag:0 (Addr.line_of a) ()
 let present t a = Assoc_table.probe t.table (Addr.line_of a) <> None
 let flush t = Assoc_table.clear t.table
 let lines_valid t = Assoc_table.valid_count t.table
-
-type snap = unit Assoc_table.snap
-
-let snapshot t = Assoc_table.snapshot t.table
-let restore t s = Assoc_table.restore t.table s
-let fingerprint t = Assoc_table.fingerprint ~hash_value:(fun () -> 1) t.table

@@ -20,9 +20,3 @@ val present : t -> Addr.t -> bool
 
 val flush : t -> unit
 val lines_valid : t -> int
-
-type snap
-
-val snapshot : t -> snap
-val restore : t -> snap -> unit
-val fingerprint : t -> int

@@ -142,10 +142,6 @@ let add ~into t =
   into.timeout_degrades <- into.timeout_degrades + t.timeout_degrades;
   into.fault_injected <- into.fault_injected + t.fault_injected
 
-let assign ~into t =
-  reset into;
-  add ~into t
-
 let ipc_denominator t = max 1 t.instructions
 
 let pki t count = 1000.0 *. float_of_int count /. float_of_int (ipc_denominator t)

@@ -55,10 +55,6 @@ val add : into:t -> t -> unit
 (** Per-field accumulation, used to attribute per-quantum deltas of a
     shared core counter to the process that ran the quantum. *)
 
-val assign : into:t -> t -> unit
-(** Per-field overwrite ([reset] + [add]) — snapshot restore in place,
-    preserving the identity of a counter object shared by reference. *)
-
 val pki : t -> int -> float
 (** [pki t count] = events per kilo-instruction of [t.instructions]. *)
 

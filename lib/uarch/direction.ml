@@ -35,15 +35,3 @@ let update t pc taken =
 let flush t =
   Bytes.fill t.counters 0 (Bytes.length t.counters) '\001';
   t.history <- 0
-
-type snap = { s_counters : Bytes.t; s_history : int }
-
-let snapshot t = { s_counters = Bytes.copy t.counters; s_history = t.history }
-
-let restore t s =
-  if Bytes.length s.s_counters <> Bytes.length t.counters then
-    invalid_arg "Direction.restore: geometry mismatch";
-  Bytes.blit s.s_counters 0 t.counters 0 (Bytes.length t.counters);
-  t.history <- s.s_history
-
-let fingerprint t = Hashtbl.hash (Bytes.to_string t.counters, t.history)

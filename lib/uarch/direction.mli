@@ -15,9 +15,3 @@ val update : t -> Addr.t -> bool -> unit
 (** Train with the actual direction and shift it into the history. *)
 
 val flush : t -> unit
-
-type snap
-
-val snapshot : t -> snap
-val restore : t -> snap -> unit
-val fingerprint : t -> int

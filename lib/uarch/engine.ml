@@ -169,65 +169,6 @@ let retire t (ev : Event.t) =
   retire_packed t ~pc:ev.pc ~size:ev.size ~in_plt:ev.in_plt ~load ~load2 ~store
     ~kind ~target ~aux ~taken
 
-(* Whole-engine snapshot: every modeled structure plus the counters and
-   the current ASID.  Dominated by the cache tables' bigarray blits (the
-   L2 is the big one); no per-entry work.  The counter record is restored
-   in place with [Counters.assign] because callers (the kernel) hold it by
-   reference. *)
-
-type snap = {
-  s_ic : Cache.snap;
-  s_dc : Cache.snap;
-  s_l2c : Cache.snap;
-  s_it : Tlb.snap;
-  s_dt : Tlb.snap;
-  s_btb : Btb.snap;
-  s_dir : Direction.snap;
-  s_ras : Ras.snap;
-  s_c : Counters.t;
-  s_asid : int;
-}
-
-let snapshot t =
-  {
-    s_ic = Cache.snapshot t.ic;
-    s_dc = Cache.snapshot t.dc;
-    s_l2c = Cache.snapshot t.l2c;
-    s_it = Tlb.snapshot t.it;
-    s_dt = Tlb.snapshot t.dt;
-    s_btb = Btb.snapshot t.btb;
-    s_dir = Direction.snapshot t.dir;
-    s_ras = Ras.snapshot t.ras;
-    s_c = Counters.copy t.c;
-    s_asid = t.asid;
-  }
-
-let restore t s =
-  Cache.restore t.ic s.s_ic;
-  Cache.restore t.dc s.s_dc;
-  Cache.restore t.l2c s.s_l2c;
-  Tlb.restore t.it s.s_it;
-  Tlb.restore t.dt s.s_dt;
-  Btb.restore t.btb s.s_btb;
-  Direction.restore t.dir s.s_dir;
-  Ras.restore t.ras s.s_ras;
-  Counters.assign ~into:t.c s.s_c;
-  t.asid <- s.s_asid
-
-let fingerprint t =
-  Hashtbl.hash
-    [
-      Cache.fingerprint t.ic;
-      Cache.fingerprint t.dc;
-      Cache.fingerprint t.l2c;
-      Tlb.fingerprint t.it;
-      Tlb.fingerprint t.dt;
-      Btb.fingerprint t.btb;
-      Direction.fingerprint t.dir;
-      Ras.fingerprint t.ras;
-      t.asid;
-    ]
-
 let context_switch ?(flush_predictors = false) ?(flush_caches = false)
     ?(retain_asid = false) t =
   (* ASID-tagged TLBs survive the switch: stale entries belong to other

@@ -72,17 +72,3 @@ val dcache : t -> Cache.t
 val l2 : t -> Cache.t
 val itlb : t -> Tlb.t
 val dtlb : t -> Tlb.t
-
-type snap
-(** Frozen copy of every modeled structure, the counters, and the ASID. *)
-
-val snapshot : t -> snap
-
-val restore : t -> snap -> unit
-(** Overwrite [t] with the snapshot.  The target must share the
-    snapshotted engine's {!Config.t} geometry; the counter record is
-    updated in place (callers hold it by reference). *)
-
-val fingerprint : t -> int
-(** Deterministic digest of all table/predictor contents and the ASID
-    (counters excluded — compare those directly). *)

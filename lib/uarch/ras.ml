@@ -37,16 +37,3 @@ let pop_default t =
 let flush t =
   t.top <- 0;
   t.count <- 0
-
-type snap = { s_slots : Addr.t array; s_top : int; s_count : int }
-
-let snapshot t = { s_slots = Array.copy t.slots; s_top = t.top; s_count = t.count }
-
-let restore t s =
-  if Array.length s.s_slots <> Array.length t.slots then
-    invalid_arg "Ras.restore: geometry mismatch";
-  Array.blit s.s_slots 0 t.slots 0 (Array.length t.slots);
-  t.top <- s.s_top;
-  t.count <- s.s_count
-
-let fingerprint t = Hashtbl.hash (t.slots, t.top, t.count)

@@ -16,9 +16,3 @@ val pop_default : t -> Addr.t
 val flush : t -> unit
 val depth : t -> int
 val occupancy : t -> int
-
-type snap
-
-val snapshot : t -> snap
-val restore : t -> snap -> unit
-val fingerprint : t -> int

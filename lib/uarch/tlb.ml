@@ -13,9 +13,3 @@ let access t ~asid a = Assoc_table.touch t.table ~tag:asid (Addr.page_of a) ()
 let present ?(asid = 0) t a =
   Assoc_table.probe t.table ~tag:asid (Addr.page_of a) <> None
 let flush ?asid t = Assoc_table.clear ?tag:asid t.table
-
-type snap = unit Assoc_table.snap
-
-let snapshot t = Assoc_table.snapshot t.table
-let restore t s = Assoc_table.restore t.table s
-let fingerprint t = Assoc_table.fingerprint ~hash_value:(fun () -> 1) t.table

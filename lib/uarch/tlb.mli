@@ -22,9 +22,3 @@ val access : t -> asid:int -> Addr.t -> bool
 val present : ?asid:int -> t -> Addr.t -> bool
 val flush : ?asid:int -> t -> unit
 (** [flush t] drops everything; [flush ~asid t] one address space only. *)
-
-type snap
-
-val snapshot : t -> snap
-val restore : t -> snap -> unit
-val fingerprint : t -> int

@@ -8,45 +8,20 @@
     the join, so the output is identical to the sequential map; workers
     only buy wall-clock time.
 
-    Unlike {!Parallel.map}, workers share the heap: [f] may return
-    closures and custom blocks, and mutations to shared structures are
-    visible across items — so [f] must only mutate state it owns (or
-    state with its own synchronisation, like the mutex-guarded trace
-    cache).  For code that relies on process isolation — mutating
-    process-global state per item without locks — keep using the
-    {!Parallel} fork pool.
+    Workers share the heap: [f] may return closures and custom blocks,
+    and mutations to shared structures are visible across items — so [f]
+    must only mutate state it owns (or state with its own
+    synchronisation, like the mutex-guarded trace cache).
 
     If any application of [f] raises, [map] raises [Failure] naming the
     first failing item, after all domains have been joined. *)
 
 val default_jobs : unit -> int
-(** Alias for {!Parallel.default_jobs}: [DLINK_JOBS] when set to a
-    positive integer, else the runtime's recommended domain count. *)
+(** [DLINK_JOBS] when set to a positive integer, else the runtime's
+    recommended domain count (≈ core count), else 1.  An invalid value
+    (e.g. [DLINK_JOBS=all]) prints a one-line warning to stderr and
+    yields 1 instead of degrading silently. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Sequential [List.map] when [jobs <= 1] or for lists of at most one
     element. *)
-
-val run_ordered :
-  ?jobs:int ->
-  ?window:int ->
-  produce:(int -> 'a) ->
-  consume:(int -> 'a -> unit) ->
-  int ->
-  unit
-(** [run_ordered ~jobs ~window ~produce ~consume n] runs [produce i] for
-    [i = 0..n-1] on up to [jobs] worker domains (stealing cursor, as in
-    {!map}) while the {e calling} domain applies [consume i result]
-    strictly in index order — so [consume] observes exactly the
-    sequential-order stream and may freely mutate caller-owned state.
-
-    [window] (default [2 * jobs], clamped to at least [jobs]) bounds the
-    number of produced-but-unconsumed items in flight: a worker blocks
-    before starting an item more than [window] ahead of the consumption
-    frontier, keeping memory O(window) regardless of [n].
-
-    [jobs <= 1] (or [n <= 1]) degrades to the pure sequential
-    [consume i (produce i)] loop — same observable behaviour, no domains.
-    If a [produce] raises, [Failure] names the item after all domains are
-    joined; if [consume] raises, the exception propagates likewise after
-    the join. *)

@@ -1,14 +1,17 @@
 (* Serving-stack tests: arrival processes (open and closed loop), the
-   bounded admission queue and its push-based streaming mirror, cells
-   (generate vs replay vs streaming bit-identity, snapshot-segmented
-   parallel replay, determinism), the multi-core open-loop topology, and
-   the kernel's request-boundary tap. *)
+   push-based queue engine against an array-based reference queue, cells
+   (generate vs replay bit-identity, sweep = per-cell, calibration
+   identity, jobs invariance, determinism), the multi-core open-loop
+   topology, and the kernel's request-boundary tap. *)
 
 module Rng = Dlink_util.Rng
 module Arrival = Dlink_util.Arrival
 module Latency = Dlink_stats.Latency
 module Counters = Dlink_uarch.Counters
+module Site_hash = Dlink_util.Site_hash
+module Skip = Dlink_pipeline.Skip
 module Sim = Dlink_core.Sim
+module Experiment = Dlink_core.Experiment
 module Serve = Dlink_core.Serve
 module Workload = Dlink_core.Workload
 module Registry = Dlink_workloads.Registry
@@ -17,7 +20,6 @@ module Policy = Dlink_sched.Policy
 module Kernel = Dlink_pipeline.Kernel
 module Tcache = Dlink_trace.Cache
 module Replay = Dlink_trace.Replay
-module Segmented = Dlink_trace.Segmented
 module Serve_replay = Dlink_trace.Serve_replay
 
 let checkb = Alcotest.(check bool)
@@ -95,48 +97,128 @@ let test_closed_arrival_spec () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "gen on closed should raise"
 
+(* ---------------- reference queue ---------------- *)
+
+(* Array-based single-server bounded FIFO over sorted absolute
+   [arrivals]: the reference the push-based [Serve.stream_queue] is
+   pinned against.  [service ~nth ~req] returns request [req]'s service
+   time when it is served [nth]; an arrival finding the queue full is
+   dropped; an empty queue idles to the next arrival.  Admission is lazy:
+   every arrival up to the current time is admitted just before each
+   service starts. *)
+
+type queue_stats = {
+  q_served : int;
+  q_dropped : int;
+  q_reqs : int array;  (** request index per served request, serve order *)
+  q_lat_cycles : int array;  (** queue wait + service, serve order *)
+  q_wait_cycles : int array;
+  q_busy : int;
+  q_span : int;  (** completion time of the last served request *)
+}
+
+let simulate_queue ~arrivals ~queue_cap ~service =
+  let n = Array.length arrivals in
+  let q = Queue.create () in
+  let reqs = ref [] and lats = ref [] and waits = ref [] in
+  let now = ref 0 and busy = ref 0 in
+  let served = ref 0 and dropped = ref 0 and next = ref 0 in
+  let admit () =
+    while !next < n && arrivals.(!next) <= !now do
+      if Queue.length q < queue_cap then Queue.add !next q else incr dropped;
+      incr next
+    done
+  in
+  while !served + !dropped < n do
+    admit ();
+    if Queue.is_empty q then begin
+      if arrivals.(!next) > !now then now := arrivals.(!next);
+      admit ()
+    end;
+    let r = Queue.pop q in
+    let start = !now in
+    let s = service ~nth:!served ~req:r in
+    busy := !busy + s;
+    now := !now + s;
+    reqs := r :: !reqs;
+    lats := (!now - arrivals.(r)) :: !lats;
+    waits := (start - arrivals.(r)) :: !waits;
+    incr served
+  done;
+  {
+    q_served = !served;
+    q_dropped = !dropped;
+    q_reqs = Array.of_list (List.rev !reqs);
+    q_lat_cycles = Array.of_list (List.rev !lats);
+    q_wait_cycles = Array.of_list (List.rev !waits);
+    q_busy = !busy;
+    q_span = !now;
+  }
+
+(* One open-loop cell's queue over a service vector: arrivals from the
+   cell's seed, then the reference queue. *)
+let run_queue ~(cfg : Serve.config) ~mean_service ~services =
+  let arrivals =
+    Arrival.times ~seed:cfg.Serve.seed
+      ~mean_gap:(float_of_int mean_service /. cfg.Serve.load)
+      ~n:cfg.Serve.requests cfg.Serve.arrival
+  in
+  simulate_queue ~arrivals ~queue_cap:cfg.Serve.queue_cap
+    ~service:(fun ~nth:_ ~req -> services.(req))
+
+let fingerprint_of (qs : queue_stats) =
+  let fp = ref 0 in
+  for i = 0 to qs.q_served - 1 do
+    fp :=
+      Site_hash.mix2 !fp
+        (Site_hash.mix2
+           (Site_hash.mix2 qs.q_reqs.(i) qs.q_lat_cycles.(i))
+           qs.q_wait_cycles.(i))
+  done;
+  !fp
+
 (* ---------------- queue engine ---------------- *)
 
 (* Constant service against a hand-computable arrival pattern. *)
 let test_queue_hand_example () =
   (* service 10; arrivals at 0,2,4,100: three back-to-back, then idle. *)
   let qs =
-    Serve.simulate_queue ~arrivals:[| 0; 2; 4; 100 |] ~queue_cap:8
+    simulate_queue ~arrivals:[| 0; 2; 4; 100 |] ~queue_cap:8
       ~service:(fun ~nth:_ ~req:_ -> 10)
   in
-  checki "served" 4 qs.Serve.q_served;
-  checki "dropped" 0 qs.Serve.q_dropped;
-  checkb "latencies" true (qs.Serve.q_lat_cycles = [| 10; 18; 26; 10 |]);
-  checkb "waits" true (qs.Serve.q_wait_cycles = [| 0; 8; 16; 0 |]);
-  checki "busy" 40 qs.Serve.q_busy;
-  checki "span" 110 qs.Serve.q_span
+  checki "served" 4 qs.q_served;
+  checki "dropped" 0 qs.q_dropped;
+  checkb "latencies" true (qs.q_lat_cycles = [| 10; 18; 26; 10 |]);
+  checkb "waits" true (qs.q_wait_cycles = [| 0; 8; 16; 0 |]);
+  checki "busy" 40 qs.q_busy;
+  checki "span" 110 qs.q_span
 
 let test_queue_drops_when_full () =
   (* cap 1: while request 0 is in service (0..100), arrivals 1,2,3 come;
      1 queues, 2 and 3 find the queue full and drop. *)
   let qs =
-    Serve.simulate_queue ~arrivals:[| 0; 10; 20; 30 |] ~queue_cap:1
+    simulate_queue ~arrivals:[| 0; 10; 20; 30 |] ~queue_cap:1
       ~service:(fun ~nth:_ ~req:_ -> 100)
   in
-  checki "served" 2 qs.Serve.q_served;
-  checki "dropped" 2 qs.Serve.q_dropped;
-  checkb "served reqs" true (qs.Serve.q_reqs = [| 0; 1 |])
+  checki "served" 2 qs.q_served;
+  checki "dropped" 2 qs.q_dropped;
+  checkb "served reqs" true (qs.q_reqs = [| 0; 1 |])
 
 let test_queue_wait_plus_service () =
   let rng = Rng.create 5 in
   let arr = Arrival.times ~seed:9 ~mean_gap:30.0 ~n:300 Arrival.Poisson in
   let services = Array.init 300 (fun _ -> 1 + Rng.int rng 60) in
   let qs =
-    Serve.simulate_queue ~arrivals:arr ~queue_cap:16
+    simulate_queue ~arrivals:arr ~queue_cap:16
       ~service:(fun ~nth:_ ~req -> services.(req))
   in
-  checki "conservation" 300 (qs.Serve.q_served + qs.Serve.q_dropped);
+  checki "conservation" 300 (qs.q_served + qs.q_dropped);
   Array.iteri
     (fun i r ->
       checki "lat = wait + service"
-        (qs.Serve.q_wait_cycles.(i) + services.(r))
-        qs.Serve.q_lat_cycles.(i))
-    qs.Serve.q_reqs
+        (qs.q_wait_cycles.(i) + services.(r))
+        qs.q_lat_cycles.(i))
+    qs.q_reqs
 
 (* ---------------- cells: generate vs replay, determinism ------------- *)
 
@@ -153,6 +235,23 @@ let mk_cfg ?(mode = Sim.Enhanced) ?(load = 0.9) ?(flush = Serve.No_flush)
     seed = 5;
   }
 
+let msg_of (cfg : Serve.config) =
+  Printf.sprintf "%s/%s/%s@%g"
+    (Sim.mode_to_string cfg.Serve.mode)
+    (Serve.flush_to_string cfg.Serve.flush)
+    (Arrival.to_string cfg.Serve.arrival)
+    cfg.Serve.load
+
+(* Two cells agree on every per-request outcome and on the measured
+   counters. *)
+let check_same_cell msg (a : Serve.cell) (b : Serve.cell) =
+  checki (msg ^ ": served") a.Serve.served b.Serve.served;
+  checki (msg ^ ": dropped") a.Serve.dropped b.Serve.dropped;
+  checkb (msg ^ ": lat_cycles") true (a.Serve.lat_cycles = b.Serve.lat_cycles);
+  checki (msg ^ ": fingerprint") a.Serve.lat_fingerprint
+    b.Serve.lat_fingerprint;
+  checkb (msg ^ ": counters") true (a.Serve.counters = b.Serve.counters)
+
 let test_cell_generate_replay_identical () =
   Tcache.clear ();
   let w = wl "synth" in
@@ -162,19 +261,11 @@ let test_cell_generate_replay_identical () =
   List.iter
     (fun (mode, flush, arrival) ->
       let cfg = mk_cfg ~mode ~flush ~arrival () in
-      let g = Serve.run_cell_generate ~mean_service ~cfg w in
+      let g = Serve.run_cell_stream ~mean_service ~cfg w in
       let r = Serve_replay.run_cell ~mean_service ~cfg w in
-      let msg =
-        Printf.sprintf "%s/%s/%s" (Sim.mode_to_string mode)
-          (Serve.flush_to_string flush)
-          (Arrival.to_string arrival)
-      in
-      checkb (msg ^ ": lat_cycles bit-identical") true
-        (g.Serve.lat_cycles = r.Serve.lat_cycles);
-      checki (msg ^ ": served") g.Serve.served r.Serve.served;
-      checki (msg ^ ": dropped") g.Serve.dropped r.Serve.dropped;
-      checkb (msg ^ ": counters") true (g.Serve.counters = r.Serve.counters);
-      checkb (msg ^ ": p99 identical") true (g.Serve.p99_us = r.Serve.p99_us))
+      check_same_cell (msg_of cfg) g r;
+      checkb (msg_of cfg ^ ": p99 identical") true
+        (g.Serve.p99_us = r.Serve.p99_us))
     [
       (Sim.Base, Serve.No_flush, Arrival.Poisson);
       (Sim.Enhanced, Serve.No_flush, Arrival.Poisson);
@@ -207,10 +298,10 @@ let test_cell_saturation_and_validation () =
   checkb "overload drops" true (c.Serve.dropped > 0);
   checki "conservation" 80 (c.Serve.served + c.Serve.dropped);
   checkb "util near 1" true (c.Serve.util > 0.8);
-  (match Serve.run_cell_generate ~cfg:{ cfg with Serve.load = 0.0 } w with
+  (match Serve.run_cell_stream ~cfg:{ cfg with Serve.load = 0.0 } w with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "load 0 should raise");
-  match Serve.run_cell_generate ~cfg:{ cfg with Serve.queue_cap = 0 } w with
+  match Serve.run_cell_stream ~cfg:{ cfg with Serve.queue_cap = 0 } w with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "queue_cap 0 should raise"
 
@@ -226,44 +317,146 @@ let test_sweep_jobs_deterministic () =
   checki "cells" 8 (List.length seq);
   List.iter2
     (fun (a : Serve.cell) (b : Serve.cell) ->
-      checkb "sweep order and latencies independent of jobs" true
-        (Serve.cell_label a = Serve.cell_label b
-        && a.Serve.lat_cycles = b.Serve.lat_cycles))
+      checkb "sweep order independent of jobs" true
+        (Serve.cell_label a = Serve.cell_label b);
+      check_same_cell (Serve.cell_label a) a b)
     seq par
+
+(* A sweep shares one stream per (mode, flush) across its loads; it must
+   equal running each of its cells on its own — including the generate
+   fallback for a replay-incompatible skip config and closed-loop
+   arrivals. *)
+let test_sweep_matches_cells () =
+  Tcache.clear ();
+  let w = wl "synth" in
+  let check ?skip_cfg ~cfg ~loads ~modes ~flushes () =
+    let sw = Serve_replay.sweep ?skip_cfg ~cfg ~loads ~modes ~flushes w in
+    let combos =
+      List.concat_map
+        (fun mode ->
+          List.concat_map
+            (fun flush ->
+              List.map (fun load -> { cfg with Serve.mode; flush; load }) loads)
+            flushes)
+        modes
+    in
+    checki "cell count" (List.length combos) (List.length sw);
+    List.iter2
+      (fun cfg (c : Serve.cell) ->
+        let one = Serve_replay.run_cell ?skip_cfg ~cfg w in
+        checkb (msg_of cfg ^ ": same cell") true (c.Serve.cfg = cfg);
+        check_same_cell (msg_of cfg) one c)
+      combos sw
+  in
+  let cfg = { (mk_cfg ()) with Serve.requests = 50 } in
+  let flushes = [ Serve.No_flush; Serve.Flush; Serve.Asid ] in
+  check ~cfg ~loads:[ 0.8; 1.2 ] ~modes:[ Sim.Base; Sim.Enhanced ] ~flushes ();
+  check
+    ~skip_cfg:{ Skip.default_config with Skip.verify_targets = true }
+    ~cfg ~loads:[ 0.8; 1.2 ] ~modes:[ Sim.Enhanced ] ~flushes ();
+  check
+    ~cfg:{ cfg with Serve.arrival = Arrival.Closed { clients = 3 } }
+    ~loads:[ 0.9 ] ~modes:[ Sim.Base; Sim.Enhanced ]
+    ~flushes:[ Serve.No_flush; Serve.Flush ] ()
+
+(* The Base/No_flush stream is the calibration: its mean equals both
+   standalone calibrations bit for bit, whichever source produced it. *)
+let test_calibration_identity () =
+  Tcache.clear ();
+  List.iter
+    (fun (name, requests) ->
+      let w = wl name in
+      let expect = Serve.calibrate_generate ~requests w in
+      checki (name ^ ": replay calibration") expect
+        (Serve_replay.calibrate ~requests w);
+      let gen =
+        Serve.generate_stream ~mode:Sim.Base ~flush:Serve.No_flush
+          ~flush_every:7 ~requests w
+      in
+      checki (name ^ ": generated stream mean") expect (Serve.stream_mean gen);
+      let rep =
+        Serve_replay.replay_stream ~mode:Sim.Base ~flush:Serve.No_flush
+          ~flush_every:7 ~requests
+          (Tcache.get ~requests ~mode:Sim.Base w)
+      in
+      checkb (name ^ ": replayed stream = generated") true (rep = gen);
+      let cell =
+        Serve_replay.run_cell
+          ~cfg:{ (mk_cfg ~mode:Sim.Base ()) with Serve.requests }
+          w
+      in
+      checki (name ^ ": cell calibration") expect
+        cell.Serve.mean_service_cycles)
+    [ ("memcached", 40); ("synth", 60) ]
+
+(* Beyond the trace cap a sweep generates its streams and records no
+   trace at all. *)
+let test_sweep_above_cap_records_nothing () =
+  Tcache.clear ();
+  let w = wl "synth" in
+  let misses = Tcache.misses () in
+  let cells =
+    Serve_replay.sweep
+      ~cfg:
+        {
+          (mk_cfg ~mode:Sim.Base ()) with
+          Serve.requests = Serve_replay.trace_cell_cap + 1;
+        }
+      ~loads:[ 1.0 ] ~modes:[ Sim.Base ] ~flushes:[ Serve.No_flush ] w
+  in
+  checki "no trace recorded" misses (Tcache.misses ());
+  checki "cache still empty" 0 (Tcache.footprint_bytes ());
+  List.iter
+    (fun (c : Serve.cell) ->
+      checki "conservation"
+        (Serve_replay.trace_cell_cap + 1)
+        (c.Serve.served + c.Serve.dropped))
+    cells
 
 (* ---------------- streaming engine and cells ---------------- *)
 
-(* The streaming driver must reproduce the array driver exactly — same
-   latency vector, same order-sensitive fingerprint, same counters —
-   across modes, flush policies, and arrival processes.  For the
-   Base/No_flush row this also exercises the snapshot-segmented measured
-   pass (the default streaming path segments even at jobs = 1). *)
+(* A generated cell must equal the reference built independently: the
+   stream's counters match [Experiment.run] under the same context-switch
+   schedule, and the queue outcome matches the array reference queue over
+   the stream's services. *)
 let test_stream_matches_generate () =
   Tcache.clear ();
   let w = wl "synth" in
+  let mean_service = Serve.calibrate_generate ~requests:60 w in
   List.iter
     (fun (mode, flush, arrival) ->
       let cfg = mk_cfg ~mode ~flush ~arrival () in
-      let g = Serve.run_cell_generate ~cfg w in
+      let msg = msg_of cfg in
       let s = Serve.run_cell_stream ~cfg w in
-      let msg =
-        Printf.sprintf "%s/%s/%s" (Sim.mode_to_string mode)
-          (Serve.flush_to_string flush)
-          (Arrival.to_string arrival)
+      checki (msg ^ ": mean service") mean_service s.Serve.mean_service_cycles;
+      let r =
+        Experiment.run ~requests:60
+          ?context_switch_every:
+            (if flush = Serve.No_flush then None else Some 7)
+          ~retain_asid:(flush = Serve.Asid) ~mode w
       in
-      checkb (msg ^ ": lat_cycles") true
-        (g.Serve.lat_cycles = s.Serve.lat_cycles);
-      checkb (msg ^ ": fingerprint") true
-        (g.Serve.lat_fingerprint = s.Serve.lat_fingerprint);
-      checkb (msg ^ ": counters") true (g.Serve.counters = s.Serve.counters);
-      checki (msg ^ ": served") g.Serve.served s.Serve.served;
-      checki (msg ^ ": dropped") g.Serve.dropped s.Serve.dropped;
-      checki (msg ^ ": mean service") g.Serve.mean_service_cycles
-        s.Serve.mean_service_cycles;
+      checkb (msg ^ ": counters") true
+        (r.Experiment.counters = s.Serve.counters);
+      let st =
+        Serve.generate_stream ~mode ~flush ~flush_every:7 ~requests:60 w
+      in
+      checki (msg ^ ": services sum to cycles")
+        r.Experiment.counters.Counters.cycles
+        (Array.fold_left ( + ) 0 st.Serve.services);
+      let qs = run_queue ~cfg ~mean_service ~services:st.Serve.services in
+      checki (msg ^ ": served") qs.q_served s.Serve.served;
+      checki (msg ^ ": dropped") qs.q_dropped s.Serve.dropped;
+      checkb (msg ^ ": lat_cycles") true (qs.q_lat_cycles = s.Serve.lat_cycles);
+      checki (msg ^ ": fingerprint") (fingerprint_of qs)
+        s.Serve.lat_fingerprint;
+      let recorder = Latency.create () in
+      Array.iter
+        (fun l -> Latency.record recorder (Workload.cycles_to_us w l))
+        qs.q_lat_cycles;
       checkb (msg ^ ": quantiles") true
-        (g.Serve.p50_us = s.Serve.p50_us
-        && g.Serve.p99_us = s.Serve.p99_us
-        && g.Serve.p999_us = s.Serve.p999_us))
+        (Latency.p50 recorder = s.Serve.p50_us
+        && Latency.p99 recorder = s.Serve.p99_us
+        && Latency.p999 recorder = s.Serve.p999_us))
     [
       (Sim.Base, Serve.No_flush, Arrival.Poisson);
       (Sim.Enhanced, Serve.No_flush, Arrival.default_mmpp);
@@ -284,8 +477,7 @@ let test_closed_cell () =
   let a = Serve.run_cell_stream ~cfg w in
   checki "population bound serves everything" 80 a.Serve.served;
   checki "closed loop never drops" 0 a.Serve.dropped;
-  checki "latencies materialized below cap" 80
-    (Array.length a.Serve.lat_cycles);
+  checki "latencies materialized" 80 (Array.length a.Serve.lat_cycles);
   Array.iter
     (fun l -> checkb "latency positive" true (l > 0))
     a.Serve.lat_cycles;
@@ -297,128 +489,62 @@ let test_closed_cell () =
   checkb "replay mirror identical" true
     (a.Serve.lat_cycles = r.Serve.lat_cycles
     && a.Serve.lat_fingerprint = r.Serve.lat_fingerprint
-    && a.Serve.counters = r.Serve.counters);
-  match Serve.run_cell_generate ~cfg w with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "array driver cannot run closed cells"
+    && a.Serve.counters = r.Serve.counters)
+
+(* Cells whose stream differs from the calibration stream run the two
+   concurrently at [jobs > 1]; the outcome must not depend on it. *)
+let check_jobs_invariant ?(replay = false) (cfg : Serve.config) w =
+  let run jobs =
+    if replay then Serve_replay.run_cell ~jobs ~cfg w
+    else Serve.run_cell_stream ~jobs ~cfg w
+  in
+  let a = run 1 and b = run 2 in
+  check_same_cell (msg_of cfg ^ " jobs 1 vs 2") a b;
+  checki (msg_of cfg ^ ": calibration") a.Serve.mean_service_cycles
+    b.Serve.mean_service_cycles;
+  checkb (msg_of cfg ^ ": span") true (a.Serve.span_us = b.Serve.span_us)
 
 let test_closed_jobs_invariant () =
   let w = wl "synth" in
   let cfg =
     {
-      (mk_cfg ~mode:Sim.Base ~arrival:(Arrival.Closed { clients = 6 }) ()) with
+      (mk_cfg ~mode:Sim.Enhanced ~arrival:(Arrival.Closed { clients = 6 }) ())
+      with
       Serve.requests = 200;
     }
   in
-  let a = Serve.run_cell_stream ~jobs:1 ~cfg w in
-  let b = Serve.run_cell_stream ~jobs:4 ~cfg w in
-  checkb "different segmentations" true
-    (b.Serve.segments > 1 && a.Serve.segments <> b.Serve.segments);
-  checkb "bit-identical across jobs" true
-    (a.Serve.lat_fingerprint = b.Serve.lat_fingerprint
-    && a.Serve.lat_cycles = b.Serve.lat_cycles
-    && a.Serve.counters = b.Serve.counters
-    && a.Serve.span_us = b.Serve.span_us)
+  check_jobs_invariant cfg w;
+  check_jobs_invariant ~replay:true cfg w
 
-(* Snapshot-segmented generate-side replay: every (jobs, segment) choice
-   must match the sequential array driver bit for bit. *)
-let test_segmented_stream_identity () =
+let test_enhanced_jobs_invariant () =
   let w = wl "synth" in
-  let cfg =
-    { (mk_cfg ~mode:Sim.Base ~load:1.1 ()) with Serve.requests = 300 }
-  in
-  let g = Serve.run_cell_generate ~cfg w in
-  let s37 = Serve.run_cell_stream ~jobs:1 ~segment:37 ~cfg w in
-  checki "explicit segment geometry" 9 s37.Serve.segments;
-  List.iter
-    (fun (s : Serve.cell) ->
-      checkb "matches generate bit for bit" true
-        (s.Serve.lat_cycles = g.Serve.lat_cycles
-        && s.Serve.lat_fingerprint = g.Serve.lat_fingerprint
-        && s.Serve.counters = g.Serve.counters
-        && s.Serve.p999_us = g.Serve.p999_us))
-    [
-      s37;
-      Serve.run_cell_stream ~jobs:4 ~cfg w;
-      Serve.run_cell_stream ~jobs:3 ~segment:100 ~cfg w;
-    ];
-  (* Same invariant on the realistic memcached stream. *)
+  check_jobs_invariant
+    { (mk_cfg ~mode:Sim.Enhanced ~load:1.1 ()) with Serve.requests = 300 }
+    w;
   let wm = wl "memcached" in
-  let cfgm = { (mk_cfg ~mode:Sim.Base ()) with Serve.requests = 90 } in
-  let gm = Serve.run_cell_generate ~cfg:cfgm wm in
-  let sm = Serve.run_cell_stream ~jobs:4 ~cfg:cfgm wm in
-  checkb "memcached segmented = generate" true
-    (sm.Serve.segments > 1
-    && sm.Serve.lat_cycles = gm.Serve.lat_cycles
-    && sm.Serve.lat_fingerprint = gm.Serve.lat_fingerprint
-    && sm.Serve.counters = gm.Serve.counters)
+  check_jobs_invariant ~replay:true
+    { (mk_cfg ~mode:Sim.Enhanced ()) with Serve.requests = 90 }
+    wm
 
-let test_replay_segmented_jobs () =
+let test_flush_jobs_invariant () =
   Tcache.clear ();
   let w = wl "synth" in
-  let cfg = { (mk_cfg ~mode:Sim.Enhanced ()) with Serve.requests = 120 } in
-  let a = Serve_replay.run_cell ~cfg w in
-  checki "sequential path unsegmented" 1 a.Serve.segments;
-  let b = Serve_replay.run_cell ~jobs:4 ~cfg w in
-  let c = Serve_replay.run_cell ~jobs:1 ~segment:17 ~cfg w in
-  checkb "parallel path segmented" true (b.Serve.segments > 1);
-  checki "explicit segment geometry" 8 c.Serve.segments;
   List.iter
-    (fun (s : Serve.cell) ->
-      checkb "segmented replay = sequential replay" true
-        (s.Serve.lat_cycles = a.Serve.lat_cycles
-        && s.Serve.lat_fingerprint = a.Serve.lat_fingerprint
-        && s.Serve.counters = a.Serve.counters))
-    [ b; c ]
-
-(* ---------------- segmented trace replay ---------------- *)
-
-let test_segmented_replay_matches_sequential () =
-  Tcache.clear ();
-  let w = wl "synth" in
-  let n = 100 in
-  List.iter
-    (fun mode ->
-      let tr = Tcache.get ~requests:n ~mode w in
-      let seq = Replay.replay_counters ~mode ~requests:n tr in
-      let p = Segmented.plan ~segment:13 ~requests:n ~mode tr in
-      checki "segments" 8 (Segmented.seg_count p);
-      checki "requests covered" n (Segmented.requests p);
-      let services = Array.make n (-1) in
-      let order_ok = ref true and last = ref (-1) in
-      let merged, recorder =
-        Segmented.replay ~jobs:4
-          ~consume:(fun ~req ~service ->
-            if req <> !last + 1 then order_ok := false;
-            last := req;
-            services.(req) <- service)
-          p tr
+    (fun flush ->
+      let cfg =
+        { (mk_cfg ~mode:Sim.Base ~flush ()) with Serve.requests = 120 }
       in
-      checkb "consume in strict index order" true (!order_ok && !last = n - 1);
-      checkb "merged counters = sequential replay" true (merged = seq);
-      checki "recorder count" n (Latency.count recorder);
-      checki "services sum to measured cycles" seq.Counters.cycles
-        (Array.fold_left ( + ) 0 services))
-    [ Sim.Base; Sim.Enhanced ]
-
-let test_segmented_plan_rejects_bad () =
-  Tcache.clear ();
-  let w = wl "synth" in
-  let tr = Tcache.get ~requests:20 ~mode:Sim.Base w in
-  (match Segmented.plan ~segment:0 ~requests:20 ~mode:Sim.Base tr with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "segment 0 should raise");
-  match Segmented.plan ~requests:21 ~mode:Sim.Base tr with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "requests beyond the trace should raise"
+      check_jobs_invariant cfg w;
+      check_jobs_invariant ~replay:true cfg w)
+    [ Serve.Flush; Serve.Asid ]
 
 (* ---------------- properties ---------------- *)
 
 let qcheck_tests =
   [
-    (* The push-based streaming engine is a drop-in mirror of the array
-       queue engine: identical served set, per-request latency and wait,
-       drops, busy time, and span, for random cells. *)
+    (* The push-based queue engine mirrors the array reference queue:
+       identical served set, per-request latency and wait, drops, busy
+       time, and span, for random cells. *)
     QCheck.Test.make ~name:"stream_queue mirrors run_queue" ~count:150
       QCheck.(
         quad (int_range 0 150) (int_range 1 12) (int_range 0 10_000)
@@ -438,7 +564,7 @@ let qcheck_tests =
         in
         let rng = Rng.create (seed + 77) in
         let services = Array.init n (fun _ -> Rng.int rng 200) in
-        let qs = Serve.run_queue ~cfg ~mean_service ~services in
+        let qs = run_queue ~cfg ~mean_service ~services in
         let got = ref [] in
         let sq =
           Serve.stream_queue ~cfg ~mean_service ~sink:(fun ~req ~lat ~wait ->
@@ -449,59 +575,14 @@ let qcheck_tests =
           services;
         let got = Array.of_list (List.rev !got) in
         got
-        = Array.init qs.Serve.q_served (fun i ->
-              ( qs.Serve.q_reqs.(i),
-                qs.Serve.q_lat_cycles.(i),
-                qs.Serve.q_wait_cycles.(i) ))
-        && Serve.stream_served sq = qs.Serve.q_served
-        && Serve.stream_dropped sq = qs.Serve.q_dropped
-        && Serve.stream_busy_cycles sq = qs.Serve.q_busy
-        && Serve.stream_span_cycles sq = qs.Serve.q_span);
-    (* Snapshot/restore is exact: resuming a restored fresh simulator
-       replays the suffix bit-identically — per-request cycles, measured
-       counters, and the full state fingerprint — across every link mode
-       and around (ASID-tagged or full) context switches. *)
-    QCheck.Test.make ~name:"sim snapshot/restore resumes bit-identically"
-      ~count:12
-      QCheck.(
-        quad (int_range 0 5) (int_range 0 25) (int_range 1 20) (int_range 0 2))
-      (fun (mi, pre, post, sw) ->
-        let mode = List.nth Sim.all_modes mi in
-        let w = wl "synth" in
-        let make () =
-          Sim.create ~func_align:w.Workload.func_align ~mode w.Workload.objs
-        in
-        let call sim i =
-          let rq = w.Workload.gen_request i in
-          Kernel.note_boundary (Sim.kernel sim) ~rtype:rq.Workload.rtype;
-          Sim.call sim ~mname:rq.Workload.mname ~fname:rq.Workload.fname
-        in
-        let sim = make () in
-        for i = 0 to pre - 1 do
-          call sim i
-        done;
-        (match sw with
-        | 1 -> Sim.context_switch sim
-        | 2 -> Sim.context_switch ~retain_asid:true sim
-        | _ -> ());
-        Sim.mark_measurement_start sim;
-        let snap = Sim.snapshot sim in
-        let tail sim =
-          let c = Sim.counters sim in
-          let services = Array.make post 0 in
-          for i = 0 to post - 1 do
-            let before = c.Counters.cycles in
-            call sim (pre + i);
-            services.(i) <- c.Counters.cycles - before
-          done;
-          ( services,
-            Sim.state_fingerprint sim,
-            (Sim.measured_counters sim).Counters.cycles )
-        in
-        let a = tail sim in
-        let sim2 = make () in
-        Sim.restore sim2 snap;
-        a = tail sim2);
+        = Array.init qs.q_served (fun i ->
+              ( qs.q_reqs.(i),
+                qs.q_lat_cycles.(i),
+                qs.q_wait_cycles.(i) ))
+        && Serve.stream_served sq = qs.q_served
+        && Serve.stream_dropped sq = qs.q_dropped
+        && Serve.stream_busy_cycles sq = qs.q_busy
+        && Serve.stream_span_cycles sq = qs.q_span);
   ]
 
 (* ---------------- boundary tap ---------------- *)
@@ -624,6 +705,11 @@ let () =
             test_cell_saturation_and_validation;
           Alcotest.test_case "sweep jobs-independent" `Quick
             test_sweep_jobs_deterministic;
+          Alcotest.test_case "sweep = per-cell" `Quick test_sweep_matches_cells;
+          Alcotest.test_case "calibration identity" `Quick
+            test_calibration_identity;
+          Alcotest.test_case "sweep beyond trace cap" `Quick
+            test_sweep_above_cap_records_nothing;
         ] );
       ( "stream",
         [
@@ -632,17 +718,10 @@ let () =
           Alcotest.test_case "closed-loop cell" `Quick test_closed_cell;
           Alcotest.test_case "closed-loop jobs-invariant" `Quick
             test_closed_jobs_invariant;
-          Alcotest.test_case "segmented stream identity" `Quick
-            test_segmented_stream_identity;
-          Alcotest.test_case "segmented replay cell" `Quick
-            test_replay_segmented_jobs;
-        ] );
-      ( "segmented",
-        [
-          Alcotest.test_case "matches sequential replay" `Quick
-            test_segmented_replay_matches_sequential;
-          Alcotest.test_case "rejects bad plans" `Quick
-            test_segmented_plan_rejects_bad;
+          Alcotest.test_case "enhanced jobs-invariant" `Quick
+            test_enhanced_jobs_invariant;
+          Alcotest.test_case "flush jobs-invariant" `Quick
+            test_flush_jobs_invariant;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "boundaries",

@@ -13,7 +13,6 @@ module Registry = Dlink_workloads.Registry
 module Trace = Dlink_trace.Trace
 module Tcache = Dlink_trace.Cache
 module Replay = Dlink_trace.Replay
-module Parallel = Dlink_util.Parallel
 module Dpool = Dlink_util.Dpool
 module Json = Dlink_util.Json
 
@@ -210,22 +209,6 @@ let test_cache () =
 
 (* --- parallel map and atomic json -------------------------------------- *)
 
-let test_parallel_map () =
-  let xs = List.init 37 Fun.id in
-  let f x = (x * x) - 3 in
-  let expect = List.map f xs in
-  Alcotest.(check (list int)) "jobs=1" expect (Parallel.map ~jobs:1 f xs);
-  Alcotest.(check (list int)) "jobs=2" expect (Parallel.map ~jobs:2 f xs);
-  Alcotest.(check (list int)) "jobs=4" expect (Parallel.map ~jobs:4 f xs);
-  Alcotest.(check (list int))
-    "more jobs than items" [ 0; 1; 2 ]
-    (Parallel.map ~jobs:8 Fun.id [ 0; 1; 2 ]);
-  Alcotest.(check (list int)) "empty" [] (Parallel.map ~jobs:3 f []);
-  Alcotest.(check bool) "default_jobs positive" true (Parallel.default_jobs () >= 1);
-  match Parallel.map ~jobs:2 (fun x -> if x = 5 then failwith "boom" else x) xs with
-  | _ -> Alcotest.fail "worker exception should surface as Failure"
-  | exception Failure _ -> ()
-
 let test_dpool_map () =
   let xs = List.init 37 Fun.id in
   let f x = (x * x) - 3 in
@@ -238,8 +221,7 @@ let test_dpool_map () =
     (Dpool.map ~jobs:8 Fun.id [ 0; 1; 2 ]);
   Alcotest.(check (list int)) "empty" [] (Dpool.map ~jobs:3 f []);
   Alcotest.(check bool) "default_jobs positive" true (Dpool.default_jobs () >= 1);
-  (* Domains share the heap, so — unlike the fork pool — results may be
-     closures. *)
+  (* Domains share the heap, so results may be closures. *)
   let gs = Dpool.map ~jobs:2 (fun x () -> x + 1) xs in
   Alcotest.(check (list int))
     "closures cross domains"
@@ -247,55 +229,6 @@ let test_dpool_map () =
     (List.map (fun g -> g ()) gs);
   match Dpool.map ~jobs:2 (fun x -> if x = 5 then failwith "boom" else x) xs with
   | _ -> Alcotest.fail "domain exception should surface as Failure"
-  | exception Failure _ -> ()
-
-(* run_ordered feeds the consumer on the calling domain in strict index
-   order whatever the worker count or backpressure window — the property
-   the segmented serving driver's queue arithmetic depends on. *)
-let test_dpool_run_ordered () =
-  List.iter
-    (fun (jobs, window) ->
-      let n = 200 in
-      let seen = ref [] in
-      Dpool.run_ordered ~jobs ?window
-        ~produce:(fun i -> (i * i) - 3)
-        ~consume:(fun i v -> seen := (i, v) :: !seen)
-        n;
-      let seen = List.rev !seen in
-      Alcotest.(check int)
-        (Printf.sprintf "jobs=%d all consumed" jobs)
-        n (List.length seen);
-      List.iteri
-        (fun k (i, v) ->
-          Alcotest.(check int) "strict index order" k i;
-          Alcotest.(check int) "value matches producer" ((k * k) - 3) v)
-        seen)
-    [ (1, None); (2, None); (4, None); (4, Some 1); (9, Some 64); (3, Some 2) ];
-  let hits = ref 0 in
-  Dpool.run_ordered ~jobs:4 ~produce:Fun.id
-    ~consume:(fun _ _ -> incr hits)
-    0;
-  Alcotest.(check int) "n=0 consumes nothing" 0 !hits;
-  Dpool.run_ordered ~jobs:4
-    ~produce:(fun i -> i + 5)
-    ~consume:(fun i v ->
-      Alcotest.(check int) "n=1 inline" 0 i;
-      Alcotest.(check int) "n=1 value" 5 v)
-    1;
-  (match
-     Dpool.run_ordered ~jobs:2
-       ~produce:(fun i -> if i = 7 then failwith "boom" else i)
-       ~consume:(fun _ _ -> ())
-       20
-   with
-  | () -> Alcotest.fail "producer exception should surface"
-  | exception Failure _ -> ());
-  match
-    Dpool.run_ordered ~jobs:2 ~produce:Fun.id
-      ~consume:(fun i _ -> if i = 5 then failwith "sink")
-      20
-  with
-  | () -> Alcotest.fail "consumer exception should surface"
   | exception Failure _ -> ()
 
 let test_json_atomic () =
@@ -394,9 +327,7 @@ let () =
       ("cache", [ Alcotest.test_case "keying and prefix" `Quick test_cache ]);
       ( "infra",
         [
-          Alcotest.test_case "parallel map" `Quick test_parallel_map;
           Alcotest.test_case "domain pool map" `Quick test_dpool_map;
-          Alcotest.test_case "domain pool ordered" `Quick test_dpool_run_ordered;
           Alcotest.test_case "atomic json" `Quick test_json_atomic;
         ] );
       ( "alloc",
