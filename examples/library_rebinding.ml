@@ -64,15 +64,7 @@ let () =
   Option.iter
     (fun skip ->
       Skip.on_retire skip
-        {
-          Dlink_mach.Event.pc = 0;
-          size = 4;
-          in_plt = false;
-          load = None;
-          load2 = None;
-          store = Some slot;
-          branch = None;
-        })
+        (Dlink_mach.Event.make ~store:slot 0))
     (Sim.skip sim);
   stat "after GOT rebinding store:";
 

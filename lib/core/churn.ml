@@ -47,21 +47,13 @@ let make_machine ?ucfg ?skip_cfg ?(with_skip = true) ~link_mode ?aslr_seed
   in
   let linked = Loader.load_exn ~opts s.base_objs in
   let kernel = Kernel.create ?ucfg ?skip_cfg ~with_skip () in
-  (* Both predicates consult live loader state, so runtime-mapped PLT and
-     GOT sections are classified as soon as they appear. *)
-  let is_plt_entry = Loader.is_plt_entry linked in
-  let hooks =
-    Kernel.process_hooks kernel ~is_plt_entry ~in_got:(Loader.in_any_got linked)
-  in
-  let process = Process.create ~hooks linked in
+  let process = Process.create ~hooks:(Kernel.process_hooks kernel) linked in
   let mem = Process.memory process in
   Kernel.set_read_got kernel (fun slot -> Memory.read mem slot);
   let store a v =
     Memory.write mem a v;
-    Kernel.retire_packed kernel ~pc:linked.Loader.resolver_entry ~size:4
-      ~in_plt:false ~plt_call:false ~got_store:(Loader.in_any_got linked a)
-      ~load:Addr.none ~load2:Addr.none ~store:a ~kind:Event.Kind.none
-      ~target:Addr.none ~aux:Addr.none ~taken:false
+    Kernel.retire_store kernel ~pc:linked.Loader.resolver_entry
+      ~got_store:(Loader.in_any_got linked a) a
   in
   let dynload = Dynload.create ~store ~read:(Memory.read mem) linked in
   { linked; kernel; process; dynload }

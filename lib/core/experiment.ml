@@ -1,5 +1,6 @@
 open Dlink_uarch
 module Skip = Dlink_pipeline.Skip
+module Kernel = Dlink_pipeline.Kernel
 module Profile = Dlink_pipeline.Profile
 
 type run = {
@@ -19,38 +20,31 @@ type run = {
 let mips ~instructions ~wall_s =
   if wall_s > 0.0 then float_of_int instructions /. wall_s /. 1e6 else 0.0
 
-let run ?ucfg ?skip_cfg ?requests ?warmup ?(record_stream = false)
-    ?context_switch_every ?(retain_asid = false) ~mode (w : Workload.t) =
-  let sim =
-    Sim.create ?ucfg ?skip_cfg ~record_stream ~func_align:w.Workload.func_align
-      ~mode w.Workload.objs
-  in
-  let n = Option.value requests ~default:w.Workload.default_requests in
-  let run_one i =
-    let req = w.Workload.gen_request i in
-    Dlink_pipeline.Kernel.note_boundary (Sim.kernel sim)
-      ~rtype:req.Workload.rtype;
-    let before = (Sim.counters sim).Counters.cycles in
-    Sim.call sim ~mname:req.Workload.mname ~fname:req.Workload.fname;
-    (req.Workload.rtype, Workload.cycles_to_us w ((Sim.counters sim).Counters.cycles - before))
-  in
-  let warmup = Option.value warmup ~default:w.Workload.warmup_requests in
-  for i = 0 to warmup - 1 do
-    ignore (run_one (-1 - i))
+(* The one run-scenario measurement loop, shared by generate ([run]) and
+   packed-trace replay ([Dlink_trace.Replay.replay]). *)
+let measure ?context_switch_every ?(retain_asid = false) ~mode ~kernel
+    ~profile ~warmup ~requests:n ~exec (w : Workload.t) =
+  for r = 0 to warmup - 1 do
+    ignore (exec r : int)
   done;
-  Sim.mark_measurement_start sim;
+  Profile.reset profile;
+  Kernel.set_profile kernel (Some profile);
+  let counters = Kernel.counters kernel in
+  let snapshot = Counters.copy counters in
   let t0 = Unix.gettimeofday () in
   let buckets = Array.map (fun _ -> ref []) w.Workload.request_type_names in
   for i = 0 to n - 1 do
     (match context_switch_every with
-    | Some k when k > 0 && i > 0 && i mod k = 0 -> Sim.context_switch ~retain_asid sim
+    | Some k when k > 0 && i > 0 && i mod k = 0 ->
+        Kernel.context_switch ~retain_asid kernel
     | _ -> ());
-    let rtype, us = run_one i in
+    let before = counters.Counters.cycles in
+    let rtype = exec (warmup + i) in
+    let us = Workload.cycles_to_us w (counters.Counters.cycles - before) in
     buckets.(rtype) := us :: !(buckets.(rtype))
   done;
   let wall_s = Unix.gettimeofday () -. t0 in
-  let counters = Sim.measured_counters sim in
-  let profile = Sim.profile sim in
+  let counters = Counters.diff ~after:counters ~before:snapshot in
   {
     mode;
     workload_name = w.Workload.wname;
@@ -67,6 +61,26 @@ let run ?ucfg ?skip_cfg ?requests ?warmup ?(record_stream = false)
     wall_s;
     sim_mips = mips ~instructions:counters.Counters.instructions ~wall_s;
   }
+
+let run ?ucfg ?skip_cfg ?requests ?warmup ?(record_stream = false)
+    ?context_switch_every ?retain_asid ~mode (w : Workload.t) =
+  let sim =
+    Sim.create ?ucfg ?skip_cfg ~record_stream ~func_align:w.Workload.func_align
+      ~mode w.Workload.objs
+  in
+  let kernel = Sim.kernel sim in
+  let warmup = Option.value warmup ~default:w.Workload.warmup_requests in
+  let exec r =
+    let i = if r < warmup then -1 - r else r - warmup in
+    let req = w.Workload.gen_request i in
+    Kernel.note_boundary kernel ~rtype:req.Workload.rtype;
+    Sim.call sim ~mname:req.Workload.mname ~fname:req.Workload.fname;
+    req.Workload.rtype
+  in
+  measure ?context_switch_every ?retain_asid ~mode ~kernel
+    ~profile:(Sim.profile sim) ~warmup
+    ~requests:(Option.value requests ~default:w.Workload.default_requests)
+    ~exec w
 
 let tramp_pki r = Counters.pki r.counters r.counters.Counters.tramp_instructions
 

@@ -24,6 +24,26 @@ type run = {
 val mips : instructions:int -> wall_s:float -> float
 (** [instructions /. wall_s /. 1e6], 0 when [wall_s] is not positive. *)
 
+val measure :
+  ?context_switch_every:int ->
+  ?retain_asid:bool ->
+  mode:Sim.mode ->
+  kernel:Dlink_pipeline.Kernel.t ->
+  profile:Dlink_pipeline.Profile.t ->
+  warmup:int ->
+  requests:int ->
+  exec:(int -> int) ->
+  Workload.t ->
+  run
+(** The run-scenario measurement loop every driver shares, whatever its
+    event source.  [exec r] executes request [r] through [kernel] —
+    requests [0 .. warmup-1] are warmup, [warmup .. warmup+requests-1]
+    measured — announcing its boundary with
+    {!Dlink_pipeline.Kernel.note_boundary}, and returns its request type.  After warmup the profile is reset and
+    attached to [kernel] and the counter baseline taken;
+    [context_switch_every] then injects an OS context switch every N
+    measured requests. *)
+
 val run :
   ?ucfg:Config.t ->
   ?skip_cfg:Skip.config ->
@@ -37,8 +57,8 @@ val run :
   run
 (** Executes [warmup] requests (default: the workload's
     [warmup_requests]) outside the measurement window, then [requests]
-    (default: the workload's default) inside it.
-    [context_switch_every] injects an OS context switch every N requests. *)
+    (default: the workload's default) inside it, through {!measure} with
+    the live interpreter ([Sim.call]) as the executor. *)
 
 val tramp_pki : run -> float
 (** Table 2: trampoline instructions per kilo-instruction. *)

@@ -1,4 +1,3 @@
-open Dlink_isa
 open Dlink_mach
 open Dlink_uarch
 open Dlink_linker
@@ -43,7 +42,6 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ~link_mode ~rate ~ops ~seed
     }
   in
   let linked = Loader.load_exn ~opts s.Churn.base_objs in
-  let is_plt_entry = Loader.is_plt_entry linked in
   let ld_so =
     match Space.image_by_name linked.Loader.space Loader.ld_so_name with
     | Some img -> img
@@ -57,7 +55,7 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ~link_mode ~rate ~ops ~seed
     {
       Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target);
       on_retire =
-        (fun ev -> Oracle.collector_on_retire ~is_plt_entry ~in_ld_so ref_col ev);
+        (fun ev -> Oracle.collector_on_retire ~in_ld_so ref_col ev);
     }
   in
   let ref_p = Process.create ~hooks:ref_hooks linked in
@@ -69,11 +67,8 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ~link_mode ~rate ~ops ~seed
   let dut_col = Oracle.make_collector () in
   Kernel.set_tap kernel
     (Some
-       (fun ev -> Oracle.collector_on_retire ~is_plt_entry ~in_ld_so dut_col ev));
-  let dut_hooks =
-    Kernel.process_hooks kernel ~is_plt_entry ~in_got:(Loader.in_any_got linked)
-  in
-  let dut_p = Process.create ~hooks:dut_hooks linked in
+       (fun ev -> Oracle.collector_on_retire ~in_ld_so dut_col ev));
+  let dut_p = Process.create ~hooks:(Kernel.process_hooks kernel) linked in
   Kernel.set_read_got kernel (fun slot ->
       Memory.read (Process.memory dut_p) slot);
 
@@ -83,10 +78,8 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ~link_mode ~rate ~ops ~seed
   let store a v =
     Memory.write (Process.memory ref_p) a v;
     Memory.write (Process.memory dut_p) a v;
-    Kernel.retire_packed kernel ~pc:linked.Loader.resolver_entry ~size:4
-      ~in_plt:false ~plt_call:false ~got_store:(Loader.in_any_got linked a)
-      ~load:Addr.none ~load2:Addr.none ~store:a ~kind:Event.Kind.none
-      ~target:Addr.none ~aux:Addr.none ~taken:false
+    Kernel.retire_store kernel ~pc:linked.Loader.resolver_entry
+      ~got_store:(Loader.in_any_got linked a) a
   in
   let dynload =
     Dynload.create ~store ~read:(Memory.read (Process.memory dut_p)) linked
@@ -277,7 +270,6 @@ let run_multi ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?(hazard_window = 50)
     }
   in
   let linked = Loader.load_exn ~opts s.Churn.base_objs in
-  let is_plt_entry = Loader.is_plt_entry linked in
   let in_got = Loader.in_any_got linked in
   let ld_so =
     match Space.image_by_name linked.Loader.space Loader.ld_so_name with
@@ -291,7 +283,7 @@ let run_multi ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?(hazard_window = 50)
     {
       Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target);
       on_retire =
-        (fun ev -> Oracle.collector_on_retire ~is_plt_entry ~in_ld_so ref_col ev);
+        (fun ev -> Oracle.collector_on_retire ~in_ld_so ref_col ev);
     }
   in
   let ref_p = Process.create ~hooks:ref_hooks linked in
@@ -307,11 +299,9 @@ let run_multi ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?(hazard_window = 50)
       Kernel.set_tap k
         (Some
            (fun ev ->
-             Oracle.collector_on_retire ~is_plt_entry ~in_ld_so dut_col ev)))
+             Oracle.collector_on_retire ~in_ld_so dut_col ev)))
     kernels;
-  let per_hooks =
-    Array.map (fun k -> Kernel.process_hooks k ~is_plt_entry ~in_got) kernels
-  in
+  let per_hooks = Array.map Kernel.process_hooks kernels in
   let dut_hooks =
     {
       Process.on_fetch_call =
@@ -336,10 +326,8 @@ let run_multi ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?(hazard_window = 50)
   let store a v =
     Memory.write (Process.memory ref_p) a v;
     Memory.write dut_mem a v;
-    Kernel.retire_packed kernels.(!cur) ~pc:linked.Loader.resolver_entry ~size:4
-      ~in_plt:false ~plt_call:false ~got_store:(in_got a) ~load:Addr.none
-      ~load2:Addr.none ~store:a ~kind:Event.Kind.none ~target:Addr.none
-      ~aux:Addr.none ~taken:false
+    Kernel.retire_store kernels.(!cur) ~pc:linked.Loader.resolver_entry
+      ~got_store:(in_got a) a
   in
   let dynload = Dynload.create ~store ~read:(Memory.read dut_mem) linked in
   Dynload.set_unmap_barrier dynload

@@ -59,12 +59,12 @@ let on_retire t ~core (ev : Event.t) =
   t.checks <- t.checks + 1;
   if not (t.cfg.in_mapped ev.Event.pc) then
     record t (Fetch_unmapped { core; pc = ev.Event.pc });
-  match ev.Event.branch with
-  | Some (Event.Call_direct { target; arch_target })
-    when target <> arch_target ->
-      if not (t.cfg.skip_target_ok ~tramp:arch_target ~target) then
-        record t (Stale_skip { core; pc = ev.Event.pc; tramp = arch_target; target })
-  | _ -> ()
+  let tramp = ev.Event.aux and target = ev.Event.target in
+  if
+    ev.Event.kind = Event.Kind.call_direct
+    && target <> tramp
+    && not (t.cfg.skip_target_ok ~tramp ~target)
+  then record t (Stale_skip { core; pc = ev.Event.pc; tramp; target })
 
 (* The interpreter refuses to fetch unmapped text before any event
    retires; a driver that catches [Process.Fault] reports it here so the

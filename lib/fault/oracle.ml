@@ -56,7 +56,7 @@ let collector_reset c =
   c.records <- [];
   c.window <- None
 
-let collector_on_retire ~is_plt_entry ~in_ld_so c (ev : Event.t) =
+let collector_on_retire ~in_ld_so c (ev : Event.t) =
   (match c.window with
   | Some (site, tramp) when (not ev.Event.in_plt) && not (in_ld_so ev.Event.pc)
     ->
@@ -65,20 +65,19 @@ let collector_on_retire ~is_plt_entry ~in_ld_so c (ev : Event.t) =
         :: c.records;
       c.window <- None
   | _ -> ());
-  match ev.Event.branch with
-  | Some (Event.Call_direct { target; arch_target })
-    when is_plt_entry arch_target ->
-      if target <> arch_target then
-        c.records <-
-          {
-            r_site = ev.Event.pc;
-            r_tramp = arch_target;
-            r_dest = target;
-            r_skipped = true;
-          }
-          :: c.records
-      else c.window <- Some (ev.Event.pc, arch_target)
-  | _ -> ()
+  (* A direct call's [plt_call] flag says its architectural target [aux]
+     is a PLT entry. *)
+  if ev.Event.plt_call && ev.Event.kind = Event.Kind.call_direct then
+    if ev.Event.target <> ev.Event.aux then
+      c.records <-
+        {
+          r_site = ev.Event.pc;
+          r_tramp = ev.Event.aux;
+          r_dest = ev.Event.target;
+          r_skipped = true;
+        }
+        :: c.records
+    else c.window <- Some (ev.Event.pc, ev.Event.aux)
 
 let collector_records c = List.rev c.records
 
@@ -180,7 +179,6 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?requests ?(cooldown = 0)
     }
   in
   let linked = Loader.load_exn ~opts w.Workload.objs in
-  let is_plt_entry = Loader.is_plt_entry linked in
   let ld_so =
     match Space.image_by_name linked.Loader.space Loader.ld_so_name with
     | Some img -> img
@@ -193,24 +191,21 @@ let run ?(ucfg = Config.xeon_e5450) ?skip_cfg ?plan ?requests ?(cooldown = 0)
   let ref_hooks =
     {
       Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target);
-      on_retire = (fun ev -> collector_on_retire ~is_plt_entry ~in_ld_so ref_col ev);
+      on_retire = (fun ev -> collector_on_retire ~in_ld_so ref_col ev);
     }
   in
   let ref_p = Process.create ~hooks:ref_hooks linked in
 
   (* Device under test: the Enhanced pipeline — the same kernel every
      other execution path drives, with the oracle's projected control-flow
-     collector attached as the kernel's boxed-event tap. *)
+     collector attached as the kernel's event tap. *)
   let kernel = Kernel.create ~ucfg ?skip_cfg ~with_skip:true () in
   let counters = Kernel.counters kernel in
   let skip = Option.get (Kernel.skip kernel) in
   let dut_col = make_collector () in
   Kernel.set_tap kernel
-    (Some (fun ev -> collector_on_retire ~is_plt_entry ~in_ld_so dut_col ev));
-  let dut_hooks =
-    Kernel.process_hooks kernel ~is_plt_entry ~in_got:(Loader.in_any_got linked)
-  in
-  let dut_p = Process.create ~hooks:dut_hooks linked in
+    (Some (fun ev -> collector_on_retire ~in_ld_so dut_col ev));
+  let dut_p = Process.create ~hooks:(Kernel.process_hooks kernel) linked in
   Kernel.set_read_got kernel (fun slot ->
       Memory.read (Process.memory dut_p) slot);
 

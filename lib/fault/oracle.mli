@@ -93,11 +93,12 @@ val collector_records : collector -> record list
 (** Oldest first. *)
 
 val collector_on_retire :
-  is_plt_entry:(Addr.t -> bool) ->
   in_ld_so:(Addr.t -> bool) ->
   collector ->
   Dlink_mach.Event.t ->
   unit
+(** Feed one retired event.  Library calls are recognised by the event's
+    [plt_call] flag, which the interpreter sets from its loader. *)
 
 val diff_request :
   skip:Skip.t ->

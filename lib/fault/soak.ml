@@ -97,16 +97,13 @@ let run ?ucfg ?skip_cfg ?plan (p : params) (s : Churn.scenario) =
     }
   in
   let linked = Loader.load_exn ~opts s.Churn.base_objs in
-  let is_plt_entry = Loader.is_plt_entry linked in
   let in_got = Loader.in_any_got linked in
   let kernels =
     Array.init p.cores (fun _ -> Kernel.create ?ucfg ?skip_cfg ~with_skip:true ())
   in
   let skips = Array.map (fun k -> Option.get (Kernel.skip k)) kernels in
   let cur = ref 0 in
-  let per_hooks =
-    Array.map (fun k -> Kernel.process_hooks k ~is_plt_entry ~in_got) kernels
-  in
+  let per_hooks = Array.map Kernel.process_hooks kernels in
   let hooks =
     {
       Process.on_fetch_call =
@@ -134,10 +131,8 @@ let run ?ucfg ?skip_cfg ?plan (p : params) (s : Churn.scenario) =
      the other cores' skip units see churn as coherence traffic. *)
   let store a v =
     Memory.write mem a v;
-    Kernel.retire_packed kernels.(!cur) ~pc:linked.Loader.resolver_entry ~size:4
-      ~in_plt:false ~plt_call:false ~got_store:(in_got a) ~load:Addr.none
-      ~load2:Addr.none ~store:a ~kind:Event.Kind.none ~target:Addr.none
-      ~aux:Addr.none ~taken:false
+    Kernel.retire_store kernels.(!cur) ~pc:linked.Loader.resolver_entry
+      ~got_store:(in_got a) a
   in
   let dynload = Dynload.create ~store ~read:(Memory.read mem) linked in
   Dynload.set_unmap_barrier dynload

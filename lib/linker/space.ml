@@ -2,6 +2,9 @@ type t = {
   mutable sorted : Image.t array; (* ascending by text.base *)
   by_id : (int, Image.t) Hashtbl.t;
   by_name : (string, Image.t) Hashtbl.t;
+  (* [Some img] per entry of [sorted], built once per remap so lookups
+     return a shared option instead of allocating one. *)
+  mutable found : Image.t option array;
   mutable memo : Image.t option; (* last successful lookup *)
 }
 
@@ -23,7 +26,7 @@ let create images =
       Hashtbl.replace by_id img.id img;
       Hashtbl.replace by_name img.name img)
     sorted;
-  { sorted; by_id; by_name; memo = None }
+  { sorted; by_id; by_name; found = Array.map Option.some sorted; memo = None }
 
 let add t (img : Image.t) =
   if Hashtbl.mem t.by_id img.id then
@@ -34,6 +37,7 @@ let add t (img : Image.t) =
   Array.sort (fun (a : Image.t) b -> compare a.text.base b.text.base) sorted;
   check_overlaps sorted;
   t.sorted <- sorted;
+  t.found <- Array.map Option.some sorted;
   Hashtbl.replace t.by_id img.id img;
   Hashtbl.replace t.by_name img.name img;
   t.memo <- None
@@ -47,6 +51,7 @@ let remove t id =
           (List.filter
              (fun (i : Image.t) -> i.id <> id)
              (Array.to_list t.sorted));
+      t.found <- Array.map Option.some t.sorted;
       Hashtbl.remove t.by_id id;
       Hashtbl.remove t.by_name img.Image.name;
       t.memo <- None
@@ -55,7 +60,7 @@ let images t = t.sorted
 
 let image_at t a =
   match t.memo with
-  | Some img when Image.contains img a -> Some img
+  | Some img as hit when Image.contains img a -> hit
   | _ ->
       let n = Array.length t.sorted in
       (* rightmost image whose base <= a *)
@@ -67,20 +72,14 @@ let image_at t a =
           else search lo mid
       in
       let i = search 0 n in
-      if i < 0 then None
-      else
-        let img = t.sorted.(i) in
-        if Image.contains img a then begin
-          t.memo <- Some img;
-          Some img
-        end
-        else None
+      if i < 0 || not (Image.contains t.sorted.(i) a) then None
+      else begin
+        t.memo <- t.found.(i);
+        t.memo
+      end
 
 let fetch t a =
-  match image_at t a with
-  | None -> None
-  | Some img -> (
-      match Image.fetch img a with Some i -> Some (img, i) | None -> None)
+  match image_at t a with None -> None | Some img -> Image.fetch img a
 
 let image_by_id t id = Hashtbl.find_opt t.by_id id
 let image_by_name t name = Hashtbl.find_opt t.by_name name

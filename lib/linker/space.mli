@@ -20,10 +20,10 @@ val images : t -> Image.t array
 
 val image_at : t -> Addr.t -> Image.t option
 (** Image containing the address (binary search with a one-entry memo for
-    the common same-module case). *)
+    the common same-module case).  Allocation-free. *)
 
-val fetch : t -> Addr.t -> (Image.t * Insn.t) option
-(** Instruction at a PC together with its defining image. *)
+val fetch : t -> Addr.t -> Insn.t option
+(** Instruction at a PC.  Allocation-free. *)
 
 val image_by_id : t -> int -> Image.t option
 val image_by_name : t -> string -> Image.t option

@@ -2,60 +2,74 @@
 
     The microarchitecture model, the trampoline-skip controller, and the
     profiler all consume this stream, mirroring the paper's design where the
-    proposed hardware observes instructions at the retire stage. *)
+    proposed hardware observes instructions at the retire stage.
+
+    An event is one mutable record that its source fills in place and
+    reuses for the next instruction: the interpreter ({!Process}) owns one,
+    a packed-trace cursor owns another.  Consumers must not keep the record
+    past the call that hands it to them; {!copy} it to keep it.  An absent
+    operand holds {!Dlink_isa.Addr.none} (flags: [false]), exactly as the
+    trace decoder produces it, so an interpreter event and its decoded copy
+    compare equal. *)
 
 open Dlink_isa
 
-type branch =
-  | Call_direct of { target : Addr.t; arch_target : Addr.t }
-      (** [target] is where control actually went; [arch_target] is the
-          call instruction's encoded destination.  They differ exactly when
-          the trampoline-skip mechanism redirected the fetch. *)
-  | Call_indirect of { target : Addr.t; slot : Addr.t }
-  | Jump_direct of { target : Addr.t }
-  | Jump_indirect of { target : Addr.t; slot : Addr.t }
-      (** a PLT trampoline retires as this, with [slot] = its GOT entry *)
-  | Jump_resolver of { target : Addr.t }
-      (** the [Resolve] primitive's final indirect jump *)
-  | Cond_branch of { target : Addr.t; taken : bool }
-  | Return of { target : Addr.t }
-
-type t = {
-  pc : Addr.t;
-  size : int;
-  in_plt : bool;  (** instruction lies in some module's PLT section *)
-  load : Addr.t option;
-  load2 : Addr.t option;
-  store : Addr.t option;
-  branch : branch option;
-}
-
-val branch_target : branch -> Addr.t
-val is_indirect : branch -> bool
-
-(** Packed branch kinds (three bits), the allocation-free mirror of
-    {!branch} shared by the engine's packed retire path and the trace
-    subsystem. *)
+(** Branch kinds (three bits, the trace format's encoding). *)
 module Kind : sig
   val none : int
   val call_direct : int
   val call_indirect : int
   val jump_direct : int
   val jump_indirect : int
+  (** a PLT trampoline retires as this, with [aux] = its GOT slot *)
+
   val jump_resolver : int
+  (** the [Resolve] primitive's final jump *)
+
   val cond_branch : int
   val return : int
 end
 
-val pack_branch : branch option -> int * Addr.t * Addr.t * bool
-(** [(kind, target, aux, taken)].  [aux] is the architectural target of a
-    direct call or the GOT slot of an indirect branch, {!Addr.none}
-    otherwise. *)
+type t = {
+  mutable pc : Addr.t;
+  mutable size : int;
+  mutable kind : int;  (** a {!Kind} code; {!Kind.none} for non-branches *)
+  mutable in_plt : bool;  (** instruction lies in some module's PLT section *)
+  mutable plt_call : bool;
+      (** profile-eligible library call: a direct call whose
+          {e architectural} target, or an indirect call whose target, is a
+          PLT entry *)
+  mutable got_store : bool;  (** the store address lies in a GOT *)
+  mutable taken : bool;  (** conditional branches only *)
+  mutable load : Addr.t;
+  mutable load2 : Addr.t;
+  mutable store : Addr.t;
+  mutable target : Addr.t;
+      (** where control went; a conditional branch's encoded target
+          whether or not it was taken *)
+  mutable aux : Addr.t;
+      (** the architectural target of a direct call (equal to [target]
+          unless the trampoline-skip mechanism redirected the fetch), the
+          GOT slot of an indirect call or jump *)
+}
 
-val unpack_branch :
-  kind:int -> target:Addr.t -> aux:Addr.t -> taken:bool -> branch option
-(** Inverse of {!pack_branch}; [aux = Addr.none] on a direct call means
-    "unredirected" ([arch_target = target]).  Raises [Invalid_argument] on
-    an out-of-range kind. *)
+val make :
+  ?size:int ->
+  ?kind:int ->
+  ?in_plt:bool ->
+  ?plt_call:bool ->
+  ?got_store:bool ->
+  ?taken:bool ->
+  ?load:Addr.t ->
+  ?load2:Addr.t ->
+  ?store:Addr.t ->
+  ?target:Addr.t ->
+  ?aux:Addr.t ->
+  Addr.t ->
+  t
+(** A fresh event at a pc: size 4, no branch, every operand absent unless
+    given. *)
+
+val copy : t -> t
 
 val pp : Format.formatter -> t -> unit

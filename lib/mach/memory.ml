@@ -7,7 +7,9 @@ let word_index a =
   a lsr 3
 
 let create () : t = Hashtbl.create 4096
-let read t a = Option.value ~default:0 (Hashtbl.find_opt t (word_index a))
+(* [find] rather than [find_opt]: a read is on the interpreter's per-step
+   path and must not allocate an option. *)
+let read t a = try Hashtbl.find t (word_index a) with Not_found -> 0
 
 let write t a v =
   let i = word_index a in

@@ -25,6 +25,7 @@ type t = {
   mutable retired : int;
   mutable site_counts : int array;
   hooks : hooks;
+  ev : Event.t;
 }
 
 (* Sentinel return address used by [call]; never a mapped code address. *)
@@ -41,6 +42,7 @@ let create ?(hooks = default_hooks) linked =
     retired = 0;
     site_counts = Array.make (max 1 linked.Loader.n_sites) 0;
     hooks;
+    ev = Event.make sentinel;
   }
 
 let linked t = t.linked
@@ -87,73 +89,104 @@ let stored_value = function
   | Insn.Fixed a -> Site_hash.mix2 a 0
   | Insn.Region { site; base = _; size = _ } -> Site_hash.mix2 site 1
 
-let retire t ev =
+(* The retire record, filled in place for every step and handed to the
+   hook.  [plt_call]/[got_store] are classified against this process's own
+   loader, whose PLT and GOT predicates track runtime-mapped modules. *)
+let retire t =
+  let ev = t.ev and linked = t.linked in
+  ev.plt_call <-
+    (if ev.kind = Event.Kind.call_direct then Loader.is_plt_entry linked ev.aux
+     else
+       ev.kind = Event.Kind.call_indirect
+       && Loader.is_plt_entry linked ev.target);
+  ev.got_store <- ev.store <> Addr.none && Loader.in_any_got linked ev.store;
   t.retired <- t.retired + 1;
   t.hooks.on_retire ev
 
+let retire_branch t kind ~target ~aux =
+  let ev = t.ev in
+  ev.kind <- kind;
+  ev.target <- target;
+  ev.aux <- aux;
+  retire t
+
 let step t =
-  let img, insn =
-    match Space.fetch t.linked.Loader.space t.pc with
-    | Some pair -> pair
-    | None -> fault "invalid fetch at %s" (Addr.to_hex t.pc)
+  let pc = t.pc in
+  let img =
+    match Space.image_at t.linked.Loader.space pc with
+    | Some img -> img
+    | None -> fault "invalid fetch at %s" (Addr.to_hex pc)
+  in
+  let insn =
+    match Image.fetch img pc with
+    | Some insn -> insn
+    | None -> fault "invalid fetch at %s" (Addr.to_hex pc)
   in
   let size = Insn.byte_size insn in
-  let in_plt = Image.in_plt img t.pc in
-  let pc = t.pc in
-  let event ?load ?load2 ?store ?branch () =
-    { Event.pc; size; in_plt; load; load2; store; branch }
-  in
+  let ev = t.ev in
+  ev.pc <- pc;
+  ev.size <- size;
+  ev.in_plt <- Image.in_plt img pc;
+  ev.kind <- Event.Kind.none;
+  ev.taken <- false;
+  ev.load <- Addr.none;
+  ev.load2 <- Addr.none;
+  ev.store <- Addr.none;
+  ev.target <- Addr.none;
+  ev.aux <- Addr.none;
   match insn with
   | Insn.Alu ->
       t.pc <- pc + size;
-      retire t (event ())
+      retire t
   | Insn.Load mref ->
       let a = ref_addr t mref in
       ignore (Memory.read t.mem a);
       t.pc <- pc + size;
-      retire t (event ~load:a ())
+      ev.load <- a;
+      retire t
   | Insn.Store mref ->
       let a = ref_addr t mref in
       Memory.write t.mem a (stored_value mref);
       t.pc <- pc + size;
-      retire t (event ~store:a ())
+      ev.store <- a;
+      retire t
   | Insn.Call target ->
       let actual = t.hooks.on_fetch_call ~pc ~arch_target:target in
       t.sp <- t.sp - 8;
       Memory.write t.mem t.sp (pc + size);
       t.pc <- actual;
-      retire t
-        (event ~store:t.sp
-           ~branch:(Event.Call_direct { target = actual; arch_target = target })
-           ())
+      ev.store <- t.sp;
+      retire_branch t Event.Kind.call_direct ~target:actual ~aux:target
   | Insn.Call_mem slot ->
       let target = Memory.read t.mem slot in
       if target = 0 then fault "indirect call through null slot %s" (Addr.to_hex slot);
       t.sp <- t.sp - 8;
       Memory.write t.mem t.sp (pc + size);
       t.pc <- target;
-      retire t
-        (event ~load:slot ~store:t.sp
-           ~branch:(Event.Call_indirect { target; slot })
-           ())
+      ev.load <- slot;
+      ev.store <- t.sp;
+      retire_branch t Event.Kind.call_indirect ~target ~aux:slot
   | Insn.Jmp target ->
       t.pc <- target;
-      retire t (event ~branch:(Event.Jump_direct { target }) ())
+      retire_branch t Event.Kind.jump_direct ~target ~aux:Addr.none
   | Insn.Jmp_mem slot ->
       let target = Memory.read t.mem slot in
       if target = 0 then fault "indirect jump through null slot %s" (Addr.to_hex slot);
       t.pc <- target;
-      retire t (event ~load:slot ~branch:(Event.Jump_indirect { target; slot }) ())
+      ev.load <- slot;
+      retire_branch t Event.Kind.jump_indirect ~target ~aux:slot
   | Insn.Cond { target; site; p_taken } ->
       let count = bump_site t site in
       let taken = Site_hash.bernoulli ~site ~count ~p:p_taken in
       t.pc <- (if taken then target else pc + size);
-      retire t (event ~branch:(Event.Cond_branch { target; taken }) ())
+      ev.taken <- taken;
+      retire_branch t Event.Kind.cond_branch ~target ~aux:Addr.none
   | Insn.Push_info i ->
       t.sp <- t.sp - 8;
       Memory.write t.mem t.sp i;
       t.pc <- pc + size;
-      retire t (event ~store:t.sp ())
+      ev.store <- t.sp;
+      retire t
   | Insn.Resolve ->
       (* Stack (top first): module id pushed by PLT0, then the relocation
          index pushed by the PLT entry.  Both are consumed, the symbol is
@@ -182,19 +215,20 @@ let step t =
       let old_sp = t.sp in
       t.sp <- t.sp + 16;
       t.pc <- target;
-      retire t
-        (event ~load:old_sp ~load2:(old_sp + 8) ~store:slot
-           ~branch:(Event.Jump_resolver { target })
-           ())
+      ev.load <- old_sp;
+      ev.load2 <- old_sp + 8;
+      ev.store <- slot;
+      retire_branch t Event.Kind.jump_resolver ~target ~aux:Addr.none
   | Insn.Ret ->
       let target = Memory.read t.mem t.sp in
       let old_sp = t.sp in
       t.sp <- t.sp + 8;
       t.pc <- target;
-      retire t (event ~load:old_sp ~branch:(Event.Return { target }) ())
+      ev.load <- old_sp;
+      retire_branch t Event.Kind.return ~target ~aux:Addr.none
   | Insn.Halt ->
       t.pc <- sentinel;
-      retire t (event ())
+      retire t
 
 let call t ?(fuel = 50_000_000) addr =
   t.sp <- t.sp - 8;

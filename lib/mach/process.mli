@@ -1,8 +1,14 @@
 (** The architectural interpreter.
 
-    Executes loaded code instruction by instruction, emitting one
-    {!Event.t} per retired instruction.  Two hooks connect the paper's
-    hardware model:
+    Executes loaded code instruction by instruction, handing one
+    {!Event.t} per retired instruction to [on_retire].  The process owns
+    that record and refills it in place for every step, so a hook must
+    not keep it past the call ({!Event.copy} it to keep it).  The process
+    classifies each event's [plt_call]/[got_store] flags against its own
+    loader ({!Dlink_linker.Loader.is_plt_entry} on a call's architectural
+    target, {!Dlink_linker.Loader.in_any_got} on the store address), so
+    every consumer sees the same flags and none needs the loader.  Two
+    hooks connect the paper's hardware model:
 
     - [on_fetch_call] lets the front-end model redirect a direct call away
       from its architectural target — this is how a trampoline is skipped.
@@ -42,7 +48,8 @@ val retired : t -> int
 (** Total retired instructions so far. *)
 
 val step : t -> unit
-(** Execute one instruction.  Raises {!Fault} on an invalid PC. *)
+(** Execute one instruction.  Raises {!Fault} on an invalid PC.
+    Allocation-free apart from the hooks. *)
 
 val call : t -> ?fuel:int -> Addr.t -> unit
 (** [call t addr] runs the function at [addr] to completion (a sentinel

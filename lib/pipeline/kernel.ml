@@ -7,13 +7,13 @@ open Dlink_uarch
    its replay mirror, and the fault oracle's device under test — is a thin
    driver over this kernel.  The kernel owns the engine, the optional skip
    controller, and the instrumentation points (profile, GOT-store sink,
-   boxed-event tap); drivers choose an event source (interpreter hooks or a
-   packed-trace cursor) and a topology (one kernel, or one per core behind
-   [Multi]).
+   event tap); drivers choose an event source (interpreter hooks or a
+   packed-trace cursor), each filling one reused [Event.t], and a topology
+   (one kernel, or one per core behind [Multi]).
 
-   The packed retire path is allocation-free: every instrumentation point
-   is a pre-installed field consulted with a pointer compare, never an
-   optional argument built per call. *)
+   The retire path is allocation-free: every instrumentation point is a
+   pre-installed field consulted with a pointer compare, never an optional
+   argument built per call. *)
 
 type t = {
   ucfg : Config.t;
@@ -27,7 +27,7 @@ type t = {
   (* Consulted on every retired GOT store; the multi-core topology points
      this at the coherence bus under the shared-guard policy. *)
   mutable got_sink : (Addr.t -> unit) option;
-  (* Boxed-event tap, generate sources only: the fault oracle's projected
+  (* Event tap, interpreter sources only: the fault oracle's projected
      control-flow collector hangs here. *)
   mutable tap : (Event.t -> unit) option;
   (* Request-boundary tap: every driver (generate, replay, multi-process)
@@ -35,6 +35,8 @@ type t = {
      A tap, not a retire-path branch — the packed retire loop never
      consults it. *)
   mutable boundary_tap : (rtype:int -> unit) option;
+  (* The record [retire_store] fills for the dynamic loader's stores. *)
+  store_ev : Event.t;
 }
 
 let no_read_got (_ : Addr.t) = 0
@@ -61,7 +63,7 @@ let create ?(ucfg = Config.xeon_e5450) ?skip_cfg ~with_skip () =
     else None
   in
   { ucfg; engine; counters; skip; read_got; profile = None; got_sink = None;
-    tap = None; boundary_tap = None }
+    tap = None; boundary_tap = None; store_ev = Event.make 0 }
 
 let ucfg t = t.ucfg
 let engine t = t.engine
@@ -88,52 +90,33 @@ let set_asid t asid =
 (* ------------------------------------------------------------------ *)
 (* The retire pipeline: opportunity counters, engine accounting, skip
    controller, cross-core publication, profiling — in that order, on every
-   path.  [plt_call] and [got_store] are precomputed by the event source
-   (the interpreter hooks classify against the loader; the packed trace
-   carries them as info-word bits). *)
+   path.  [plt_call] and [got_store] are classified by the event source
+   (the interpreter against its loader; the packed trace carries them as
+   info-word bits). *)
 
-let retire_packed t ~pc ~size ~in_plt ~plt_call ~got_store ~load ~load2 ~store
-    ~kind ~target ~aux ~taken =
-  if plt_call && kind = Event.Kind.call_direct then
+let retire t (ev : Event.t) =
+  let kind = ev.kind in
+  if ev.plt_call && kind = Event.Kind.call_direct then
     t.counters.Counters.tramp_calls <- t.counters.Counters.tramp_calls + 1;
   if kind = Event.Kind.jump_resolver then
     t.counters.Counters.resolver_runs <- t.counters.Counters.resolver_runs + 1;
-  if got_store then
+  if ev.got_store then
     t.counters.Counters.got_stores <- t.counters.Counters.got_stores + 1;
-  Engine.retire_packed t.engine ~pc ~size ~in_plt ~load ~load2 ~store ~kind
-    ~target ~aux ~taken;
-  (match t.skip with
-  | Some s -> Skip.on_retire_packed s ~pc ~size ~store ~kind ~target ~aux
-  | None -> ());
-  (match t.got_sink with Some f when got_store -> f store | _ -> ());
+  Engine.retire t.engine ev;
+  (match t.skip with Some s -> Skip.on_retire s ev | None -> ());
+  (match t.got_sink with Some f when ev.got_store -> f ev.store | _ -> ());
   match t.profile with
-  | Some p when plt_call ->
-      Profile.note p ~site:pc
-        (if kind = Event.Kind.call_direct then aux else target)
+  | Some p when ev.plt_call ->
+      Profile.note p ~site:ev.pc
+        (if kind = Event.Kind.call_direct then ev.aux else ev.target)
   | _ -> ()
 
-(* Trampoline-call classification shared by the interpreter hooks and the
-   trace recorder: a direct call is profile-eligible when its architectural
-   target is a PLT entry (a skipped call still "calls" its trampoline as
-   far as opportunity accounting is concerned); an indirect call when its
-   actual target is. *)
-let plt_call_of ~is_plt_entry (ev : Event.t) =
-  match ev.Event.branch with
-  | Some (Event.Call_direct { arch_target; _ }) -> is_plt_entry arch_target
-  | Some (Event.Call_indirect { target; _ }) -> is_plt_entry target
-  | _ -> false
-
-let got_store_of ~in_got (ev : Event.t) =
-  match ev.Event.store with Some a -> in_got a | None -> false
-
-let retire_event t ~plt_call ~got_store (ev : Event.t) =
-  let load = match ev.Event.load with Some a -> a | None -> Addr.none in
-  let load2 = match ev.Event.load2 with Some a -> a | None -> Addr.none in
-  let store = match ev.Event.store with Some a -> a | None -> Addr.none in
-  let kind, target, aux, taken = Event.pack_branch ev.Event.branch in
-  retire_packed t ~pc:ev.Event.pc ~size:ev.Event.size ~in_plt:ev.Event.in_plt
-    ~plt_call ~got_store ~load ~load2 ~store ~kind ~target ~aux ~taken;
-  match t.tap with Some f -> f ev | None -> ()
+let retire_store t ~pc ~got_store addr =
+  let ev = t.store_ev in
+  ev.pc <- pc;
+  ev.got_store <- got_store;
+  ev.store <- addr;
+  retire t ev
 
 let fetch_call t ~pc ~arch_target =
   match t.skip with
@@ -141,26 +124,17 @@ let fetch_call t ~pc ~arch_target =
   | None -> arch_target
 
 (* Interpreter event source: hooks that feed a [Process.t]'s fetch and
-   retire streams through the kernel. *)
-let process_hooks t ~is_plt_entry ~in_got =
+   retire streams through the kernel, then the tap. *)
+let process_hooks t =
   let on_retire ev =
-    retire_event t ~plt_call:(plt_call_of ~is_plt_entry ev)
-      ~got_store:(got_store_of ~in_got ev) ev
+    retire t ev;
+    match t.tap with Some f -> f ev | None -> ()
   in
   let on_fetch_call ~pc ~arch_target = fetch_call t ~pc ~arch_target in
   { Process.on_fetch_call; on_retire }
 
 (* ------------------------------------------------------------------ *)
-(* Packed-trace event source.  [target]/[aux] are passed explicitly
-   because an enhanced redirect retires the call with the function address
-   while the cursor still holds the recorded (architectural) operands. *)
-
-let retire_cursor t (c : Trace.Cursor.t) ~target ~aux =
-  retire_packed t ~pc:c.Trace.Cursor.pc ~size:c.Trace.Cursor.size
-    ~in_plt:c.Trace.Cursor.in_plt ~plt_call:c.Trace.Cursor.plt_call
-    ~got_store:c.Trace.Cursor.got_store ~load:c.Trace.Cursor.load
-    ~load2:c.Trace.Cursor.load2 ~store:c.Trace.Cursor.store
-    ~kind:c.Trace.Cursor.kind ~target ~aux ~taken:c.Trace.Cursor.taken
+(* Packed-trace event source: the cursor decodes into its own [ev]. *)
 
 (* Replay events until [stop] (an event index, normally the next request
    boundary), drained in fixed-size blocks with the skip-controller
@@ -175,33 +149,32 @@ let block_events = 256
 let replay_block_plain t (c : Trace.Cursor.t) ~stop =
   while c.Trace.Cursor.i < stop do
     Trace.Cursor.advance c;
-    retire_cursor t c ~target:c.Trace.Cursor.target ~aux:c.Trace.Cursor.aux
+    retire t c.Trace.Cursor.ev
   done
 
 (* Enhanced retire: the skip controller is consulted on every direct
    call, exactly as the interpreter's fetch hook does; a redirect retires
-   the call at the function address and drops the trampoline's in_plt
+   the call at the function address ([target] overwritten, [aux] keeping
+   the architectural target) and drops the trampoline's in_plt
    continuation without retiring it.  The drop loop runs against the true
    [stop], not the block boundary — a skipped trampoline body may
    straddle two blocks. *)
 let replay_block_skip t s (c : Trace.Cursor.t) ~block_stop ~stop =
+  let ev = c.Trace.Cursor.ev in
   while c.Trace.Cursor.i < block_stop do
     Trace.Cursor.advance c;
-    if c.Trace.Cursor.kind = Event.Kind.call_direct then begin
-      let arch = c.Trace.Cursor.aux in
-      let actual =
-        Skip.on_fetch_call s ~pc:c.Trace.Cursor.pc ~arch_target:arch
-      in
-      if actual <> arch then begin
-        retire_cursor t c ~target:actual ~aux:arch;
+    if ev.kind = Event.Kind.call_direct then begin
+      let actual = Skip.on_fetch_call s ~pc:ev.pc ~arch_target:ev.aux in
+      if actual <> ev.aux then begin
+        ev.target <- actual;
+        retire t ev;
         while c.Trace.Cursor.i < stop && Trace.Cursor.peek_in_plt c do
           Trace.Cursor.advance c
         done
       end
-      else
-        retire_cursor t c ~target:c.Trace.Cursor.target ~aux:c.Trace.Cursor.aux
+      else retire t ev
     end
-    else retire_cursor t c ~target:c.Trace.Cursor.target ~aux:c.Trace.Cursor.aux
+    else retire t ev
   done
 
 let replay_events t (c : Trace.Cursor.t) ~stop =

@@ -8,14 +8,14 @@
     ({!Dlink_fault.Oracle}).  The kernel is parameterized over two axes:
 
     - {b event source} — an interpreter ({!process_hooks} feeding a
-      [Process.t]) or a packed-trace cursor ({!replay_request}).  Both
-      funnel into the same monomorphic, allocation-free
-      {!retire_packed}.
+      [Process.t]) or a packed-trace cursor ({!replay_request}).  Each
+      fills one reused {!Dlink_mach.Event.t} in place, and both funnel
+      into the same allocation-free {!retire}.
     - {b topology} — one kernel for a single process, or one per core
       behind {!Multi} for the ASID-tagged scheduler with a coherence bus.
 
-    Instrumentation (profile, GOT-store sink, boxed-event tap, the fault
-    hooks on the embedded {!Skip.t}) attaches to kernel-level points, so
+    Instrumentation (profile, GOT-store sink, event tap, the fault hooks
+    on the embedded {!Skip.t}) attaches to kernel-level points, so
     fuzzing, replay, and multi-process runs exercise literally the same
     code. *)
 
@@ -49,8 +49,10 @@ val set_profile : t -> Profile.t option -> unit
     policy. *)
 val set_got_sink : t -> (Addr.t -> unit) option -> unit
 
-(** Attach a boxed-event tap (generate sources only); the fault oracle's
-    projected control-flow collector hangs here. *)
+(** Attach an event tap, fired after {!retire} on interpreter events only
+    (never on replayed events or {!retire_store}); the fault oracle's
+    projected control-flow collector and the invariant checker hang here.
+    The tap must not keep the event past the call. *)
 val set_tap : t -> (Event.t -> unit) option -> unit
 
 (** Attach a request-boundary tap.  Every driver — generate, packed-trace
@@ -74,34 +76,15 @@ val set_asid : t -> int -> unit
 
 (** The retire pipeline: opportunity counters, engine accounting, skip
     controller, GOT-store sink, profile — in that order, on every path.
-    [plt_call]/[got_store] are precomputed by the event source.
-    Allocation-free. *)
-val retire_packed :
-  t ->
-  pc:Addr.t ->
-  size:int ->
-  in_plt:bool ->
-  plt_call:bool ->
-  got_store:bool ->
-  load:Addr.t ->
-  load2:Addr.t ->
-  store:Addr.t ->
-  kind:int ->
-  target:Addr.t ->
-  aux:Addr.t ->
-  taken:bool ->
-  unit
+    The event's [plt_call]/[got_store] flags are classified by its source.
+    Allocation-free; the event is not kept past the call. *)
+val retire : t -> Event.t -> unit
 
-(** Classify a boxed event the way the recorder and interpreter hooks do:
-    a direct call is profile-eligible when its {e architectural} target is
-    a PLT entry, an indirect call when its actual target is. *)
-val plt_call_of : is_plt_entry:(Addr.t -> bool) -> Event.t -> bool
-
-val got_store_of : in_got:(Addr.t -> bool) -> Event.t -> bool
-
-(** Boxed-event retire: unpacks onto {!retire_packed}, then feeds the
-    tap. *)
-val retire_event : t -> plt_call:bool -> got_store:bool -> Event.t -> unit
+(** Retire the dynamic loader's store of [addr] (a GOT rebinding or slot
+    zeroing at dlopen/dlclose) as a plain 4-byte store at [pc], through a
+    kernel-owned record.  [got_store] classifies [addr].  Does not fire
+    the tap. *)
+val retire_store : t -> pc:Addr.t -> got_store:bool -> Addr.t -> unit
 
 (** Front-end consultation on a fetched direct call: the skip controller's
     redirect decision, or the architectural target when no controller is
@@ -109,22 +92,15 @@ val retire_event : t -> plt_call:bool -> got_store:bool -> Event.t -> unit
 val fetch_call : t -> pc:Addr.t -> arch_target:Addr.t -> Addr.t
 
 (** Interpreter event source: hooks feeding a [Process.t]'s fetch and
-    retire streams through this kernel, classifying against the given
-    loader predicates. *)
-val process_hooks :
-  t ->
-  is_plt_entry:(Addr.t -> bool) ->
-  in_got:(Addr.t -> bool) ->
-  Process.hooks
+    retire streams through this kernel and then the tap.  The process
+    classifies its events against its own loader. *)
+val process_hooks : t -> Process.hooks
 
-(** Packed-trace event source: retire the cursor's current event with an
-    explicit [target]/[aux] (an enhanced redirect retires the call at the
-    function address while the cursor holds the recorded operands). *)
-val retire_cursor : t -> Trace.Cursor.t -> target:Addr.t -> aux:Addr.t -> unit
-
-(** Replay events until [stop] (an event index, normally the next request
-    boundary), consulting the skip controller on every direct call and
-    dropping a skipped trampoline's in_plt continuation. *)
+(** Packed-trace event source: replay events until [stop] (an event index,
+    normally the next request boundary), consulting the skip controller on
+    every direct call.  A redirect retires the call with [target] set to
+    the function address ([aux] keeps the architectural target) and drops
+    the skipped trampoline's in_plt continuation. *)
 val replay_events : t -> Trace.Cursor.t -> stop:int -> unit
 
 (** Seek to request [r] and replay it to its boundary. *)

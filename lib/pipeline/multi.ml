@@ -1,4 +1,3 @@
-open Dlink_isa
 open Dlink_mach
 open Dlink_uarch
 
@@ -327,17 +326,18 @@ let finished t = Array.for_all (fun r -> r = 0) t.remaining
 
 (* ------------------------------------------------------------------ *)
 
-(* Inject a bare GOT-store retirement on [pid]'s core — the rebinding
-   probe used by examples and the fault harness.  The synthetic event is
-   exactly what the interpreter would retire for an unadorned store. *)
+(* Inject a bare GOT store on [pid]'s core — the rebinding probe used by
+   examples and the fault harness.  Only the skip controller observes it
+   (its Bloom filter may clear the ABTB), plus the bus publication under
+   the shared-guard policy: it is not a retired instruction, so the engine
+   charges nothing and [got_stores] does not count it. *)
 let retire_got_store t ~pid addr =
   check_pid t "retire_got_store" pid;
   let c = t.cores.(t.core_of.(pid)) in
   dispatch t c pid;
   (match Kernel.skip c.kernel with
   | Some s ->
-      Skip.on_retire_packed s ~pc:0 ~size:4 ~store:addr ~kind:Event.Kind.none
-        ~target:Addr.none ~aux:Addr.none
+      Skip.on_retire s (Event.make ~store:addr 0)
   | None -> ());
   if t.policy = Policy.Asid_shared_guard then begin
     Coherence.publish t.bus ~src:c.core_id addr;

@@ -110,7 +110,8 @@ val run : t -> unit
 
 val finished : t -> bool
 
-(** Inject a bare GOT-store retirement on [pid]'s core (the rebinding
-    probe used by examples and the fault harness), publishing on the bus
-    under [Asid_shared_guard]. *)
+(** Show a bare GOT store to [pid]'s core (the rebinding probe used by
+    examples and the fault harness), publishing on the bus under
+    [Asid_shared_guard].  Only the skip controller observes it: no engine
+    accounting, no [got_stores] count. *)
 val retire_got_store : t -> pid:int -> Addr.t -> unit

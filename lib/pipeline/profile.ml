@@ -1,8 +1,6 @@
 open Dlink_isa
-open Dlink_mach
 
 type t = {
-  is_plt_entry : Addr.t -> bool;
   counts : (Addr.t, int ref) Hashtbl.t;
   sites : (Addr.t, unit) Hashtbl.t;
   mutable site_order : (Addr.t * int) list; (* reversed *)
@@ -12,9 +10,8 @@ type t = {
   mutable stream_len : int;
 }
 
-let create ?(record_stream = false) ~is_plt_entry () =
+let create ?(record_stream = false) () =
   {
-    is_plt_entry;
     counts = Hashtbl.create 512;
     sites = Hashtbl.create 512;
     site_order = [];
@@ -52,16 +49,6 @@ let note t ~site target =
     t.site_order <- (site, t.total) :: t.site_order
   end;
   push_stream t target
-
-let on_retire t (ev : Event.t) =
-  match ev.branch with
-  (* Use the architectural target: a skipped call still "calls" its
-     trampoline as far as opportunity accounting is concerned. *)
-  | Some (Event.Call_direct { arch_target; _ }) when t.is_plt_entry arch_target ->
-      note t ~site:ev.pc arch_target
-  | Some (Event.Call_indirect { target; _ }) when t.is_plt_entry target ->
-      note t ~site:ev.pc target
-  | _ -> ()
 
 let tramp_calls t = t.total
 let distinct_trampolines t = Hashtbl.length t.counts

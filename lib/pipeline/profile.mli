@@ -6,17 +6,16 @@
     ABTB-size replay (Figure 5). *)
 
 open Dlink_isa
-open Dlink_mach
 
 type t
 
-val create : ?record_stream:bool -> is_plt_entry:(Addr.t -> bool) -> unit -> t
-val on_retire : t -> Event.t -> unit
+val create : ?record_stream:bool -> unit -> t
 
 val note : t -> site:Addr.t -> Addr.t -> unit
-(** Record one trampoline call of target [t] from call site [site], exactly
-    as {!on_retire} would when it observes a qualifying call event.  Used
-    by the packed-trace replay path, which never materialises events. *)
+(** Record one trampoline call of target [t] from call site [site].  The
+    retire kernel calls this for every [plt_call] event, with the call's
+    architectural target: a skipped call still "calls" its trampoline as
+    far as opportunity accounting is concerned. *)
 
 val reset : t -> unit
 (** Drop all recorded data (used to exclude a warmup phase from

@@ -275,13 +275,14 @@ let on_fetch_call t ~pc ~arch_target =
     end
   end
 
-let on_retire_packed t ~pc ~size ~store ~kind ~target ~aux =
+let on_retire t (ev : Event.t) =
+  let kind = ev.kind and target = ev.target and aux = ev.aux in
   (* Coherence watch: any retired store that hits the filter clears all. *)
-  if store >= 0 then clear_on_store t store;
+  if ev.store >= 0 then clear_on_store t ev.store;
   (* Idiom detection: call retired, next retired instruction is a
      memory-indirect jump ([aux] carries its GOT slot). *)
   if t.pending_pc <> Addr.none && kind = Event.Kind.jump_indirect then begin
-    let fallthrough = pc + size in
+    let fallthrough = ev.pc + ev.size in
     if not (t.cfg.filter_fallthrough && target = fallthrough) then begin
       Abtb.insert t.abtb ~asid:t.asid t.pending_target
         { Abtb.func = target; got_slot = aux };
@@ -300,12 +301,7 @@ let on_retire_packed t ~pc ~size ~store ~kind ~target ~aux =
     (kind = Event.Kind.call_direct && target = aux)
     || kind = Event.Kind.call_indirect
   then begin
-    t.pending_pc <- pc;
+    t.pending_pc <- ev.pc;
     t.pending_target <- target
   end
   else t.pending_pc <- Addr.none
-
-let on_retire t (ev : Event.t) =
-  let store = match ev.store with Some a -> a | None -> Addr.none in
-  let kind, target, aux, _taken = Event.pack_branch ev.branch in
-  on_retire_packed t ~pc:ev.pc ~size:ev.size ~store ~kind ~target ~aux

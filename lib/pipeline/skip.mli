@@ -103,21 +103,10 @@ val on_fetch_call : t -> pc:Addr.t -> arch_target:Addr.t -> Addr.t
     otherwise). *)
 
 val on_retire : t -> Event.t -> unit
-
-val on_retire_packed :
-  t ->
-  pc:Addr.t ->
-  size:int ->
-  store:Addr.t ->
-  kind:int ->
-  target:Addr.t ->
-  aux:Addr.t ->
-  unit
-(** Allocation-free {!on_retire} on packed operands: [store] is
-    {!Dlink_isa.Addr.none} when the instruction stores nothing, [kind] is
-    an {!Dlink_mach.Event.Kind} code, and [aux] is the architectural target
-    of a direct call or the GOT slot of an indirect branch (as produced by
-    {!Dlink_mach.Event.pack_branch}). *)
+(** Observe one retired instruction: a store that hits the Bloom filter
+    clears the ABTB, and a retired call followed by a retired
+    memory-indirect jump ([aux] = its GOT slot) inserts an ABTB entry.
+    Allocation-free except on those bookkeeping paths. *)
 
 val on_remote_store : t -> Addr.t -> unit
 (** A GOT store retired by {e another} core, delivered over the

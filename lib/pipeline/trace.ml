@@ -117,12 +117,12 @@ module Writer = struct
     (* A request entry is always a control-flow discontinuity; pin it. *)
     w.expect_pc <- no_pc
 
-  let add w ?(plt_call = false) ?(got_store = false) (ev : Event.t) =
+  let add w (ev : Event.t) =
     if w.n_requests = 0 then
       invalid_arg "Trace.Writer.add: no request started";
     if ev.size < 0 || ev.size > 15 then
       invalid_arg "Trace.Writer.add: size out of range";
-    let kind, target, aux, taken = Event.pack_branch ev.branch in
+    let kind = ev.kind and target = ev.target and aux = ev.aux in
     let has_pc = ev.pc <> w.expect_pc in
     let has_aux =
       kind = Event.Kind.call_indirect
@@ -132,12 +132,12 @@ module Writer = struct
     let info =
       kind
       lor (if ev.in_plt then m_in_plt else 0)
-      lor (if plt_call then m_plt_call else 0)
-      lor (if got_store then m_got_store else 0)
-      lor (if taken then m_taken else 0)
-      lor (if ev.load <> None then m_load else 0)
-      lor (if ev.load2 <> None then m_load2 else 0)
-      lor (if ev.store <> None then m_store else 0)
+      lor (if ev.plt_call then m_plt_call else 0)
+      lor (if ev.got_store then m_got_store else 0)
+      lor (if ev.taken then m_taken else 0)
+      lor (if ev.load <> Addr.none then m_load else 0)
+      lor (if ev.load2 <> Addr.none then m_load2 else 0)
+      lor (if ev.store <> Addr.none then m_store else 0)
       lor (if has_aux then m_aux else 0)
       lor (if has_pc then m_pc else 0)
       lor (ev.size lsl 12)
@@ -147,12 +147,13 @@ module Writer = struct
     w.n_events <- w.n_events + 1;
     ensure_ops w 6;
     if has_pc then push_op w ev.pc;
-    (match ev.load with Some a -> push_op w a | None -> ());
-    (match ev.load2 with Some a -> push_op w a | None -> ());
-    (match ev.store with Some a -> push_op w a | None -> ());
+    if ev.load <> Addr.none then push_op w ev.load;
+    if ev.load2 <> Addr.none then push_op w ev.load2;
+    if ev.store <> Addr.none then push_op w ev.store;
     if kind <> Event.Kind.none then push_op w target;
     if has_aux then push_op w aux;
-    w.expect_pc <- next_pc_of ~kind ~pc:ev.pc ~size:ev.size ~target ~taken
+    w.expect_pc <-
+      next_pc_of ~kind ~pc:ev.pc ~size:ev.size ~target ~taken:ev.taken
 
   let finish w ~warmup : trace =
     if warmup < 0 || warmup > w.n_requests then
@@ -188,40 +189,11 @@ module Cursor = struct
     mutable i : int; (* next event to decode *)
     mutable op : int;
     mutable next_pc : int;
-    (* fields of the last decoded event *)
-    mutable pc : int;
-    mutable size : int;
-    mutable kind : int;
-    mutable in_plt : bool;
-    mutable plt_call : bool;
-    mutable got_store : bool;
-    mutable taken : bool;
-    mutable load : int;
-    mutable load2 : int;
-    mutable store : int;
-    mutable target : int;
-    mutable aux : int;
+    ev : Event.t; (* the last decoded event, overwritten by [advance] *)
   }
 
   let create trace =
-    {
-      trace;
-      i = 0;
-      op = 0;
-      next_pc = no_pc;
-      pc = 0;
-      size = 0;
-      kind = 0;
-      in_plt = false;
-      plt_call = false;
-      got_store = false;
-      taken = false;
-      load = Addr.none;
-      load2 = Addr.none;
-      store = Addr.none;
-      target = Addr.none;
-      aux = Addr.none;
-    }
+    { trace; i = 0; op = 0; next_pc = no_pc; ev = Event.make 0 }
 
   let seek_request c r =
     c.i <- c.trace.req_start.(r);
@@ -235,52 +207,40 @@ module Cursor = struct
 
   let advance c =
     let info = Bytes.get_uint16_le c.trace.info (2 * c.i) in
-    let kind = info land 7 in
-    c.kind <- kind;
-    c.in_plt <- info land m_in_plt <> 0;
-    c.plt_call <- info land m_plt_call <> 0;
-    c.got_store <- info land m_got_store <> 0;
-    c.taken <- info land m_taken <> 0;
-    c.size <- info lsr 12;
-    c.pc <- (if info land m_pc <> 0 then read_op c else c.next_pc);
-    c.load <- (if info land m_load <> 0 then read_op c else Addr.none);
-    c.load2 <- (if info land m_load2 <> 0 then read_op c else Addr.none);
-    c.store <- (if info land m_store <> 0 then read_op c else Addr.none);
-    c.target <- (if kind <> Event.Kind.none then read_op c else Addr.none);
-    c.aux <-
+    let kind = info land 7 and ev = c.ev in
+    ev.kind <- kind;
+    ev.in_plt <- info land m_in_plt <> 0;
+    ev.plt_call <- info land m_plt_call <> 0;
+    ev.got_store <- info land m_got_store <> 0;
+    ev.taken <- info land m_taken <> 0;
+    ev.size <- info lsr 12;
+    ev.pc <- (if info land m_pc <> 0 then read_op c else c.next_pc);
+    ev.load <- (if info land m_load <> 0 then read_op c else Addr.none);
+    ev.load2 <- (if info land m_load2 <> 0 then read_op c else Addr.none);
+    ev.store <- (if info land m_store <> 0 then read_op c else Addr.none);
+    ev.target <- (if kind <> Event.Kind.none then read_op c else Addr.none);
+    ev.aux <-
       (if info land m_aux <> 0 then read_op c
-       else if kind = Event.Kind.call_direct then c.target
+       else if kind = Event.Kind.call_direct then ev.target
        else Addr.none);
     c.next_pc <-
-      next_pc_of ~kind ~pc:c.pc ~size:c.size ~target:c.target ~taken:c.taken;
+      next_pc_of ~kind ~pc:ev.pc ~size:ev.size ~target:ev.target
+        ~taken:ev.taken;
     c.i <- c.i + 1
 
   let peek_in_plt c =
     Bytes.get_uint16_le c.trace.info (2 * c.i) land m_in_plt <> 0
-
-  let event c : Event.t =
-    {
-      Event.pc = c.pc;
-      size = c.size;
-      in_plt = c.in_plt;
-      load = (if c.load = Addr.none then None else Some c.load);
-      load2 = (if c.load2 = Addr.none then None else Some c.load2);
-      store = (if c.store = Addr.none then None else Some c.store);
-      branch =
-        Event.unpack_branch ~kind:c.kind ~target:c.target ~aux:c.aux
-          ~taken:c.taken;
-    }
 end
 
 (* Reference decoder for tests and debugging: the whole stream back as
-   heap-allocated events, in retire order. *)
+   copied events, in retire order. *)
 let to_events t =
   let c = Cursor.create t in
   let rec go acc =
     if c.Cursor.i >= t.n_events then List.rev acc
     else begin
       Cursor.advance c;
-      go (Cursor.event c :: acc)
+      go (Event.copy c.Cursor.ev :: acc)
     end
   in
   go []

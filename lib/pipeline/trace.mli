@@ -3,9 +3,10 @@
     A trace is the complete retire stream of one workload run — every
     request's events, warmup included — packed into a 2-byte info word per
     event plus a shared operand stream, with request boundaries on the
-    side.  Decoding is allocation-free: a {!Cursor} is a single mutable
-    record whose fields are overwritten by {!Cursor.advance}, so the replay
-    engines walk millions of events without touching the heap.
+    side.  Decoding is allocation-free: a {!Cursor} owns one
+    {!Dlink_mach.Event.t} that {!Cursor.advance} overwrites in place, so
+    the replay engines walk millions of events without touching the
+    heap.
 
     Event pcs are derived (fallthrough or branch target of the previous
     event) and stored explicitly only at control-flow discontinuities;
@@ -47,12 +48,13 @@ module Writer : sig
   val start_request : t -> rtype:int -> unit
   (** Open the next request; must precede the first {!add}. *)
 
-  val add : t -> ?plt_call:bool -> ?got_store:bool -> Event.t -> unit
-  (** Append one retired event.  [plt_call] marks a profile-eligible
-      library call (direct call whose architectural target, or indirect
-      call whose target, is a PLT entry); [got_store] marks a store into a
-      GOT.  Both are precomputed at record time so replay needs no loader.
-      Raises [Invalid_argument] outside a request or for sizes above 15. *)
+  val add : t -> Event.t -> unit
+  (** Append one retired event, flags included (the source classifies
+      [plt_call]/[got_store], so replay needs no loader).  Only the
+      operands an event of its kind carries are stored: absent operands
+      must hold {!Dlink_isa.Addr.none}, as the interpreter leaves them.
+      Raises [Invalid_argument] outside a request or for sizes above
+      15. *)
 
   val finish : t -> warmup:int -> trace
   (** Freeze into a compact trace whose first [warmup] requests are
@@ -67,36 +69,23 @@ module Cursor : sig
     mutable i : int;  (** index of the next event to decode *)
     mutable op : int;
     mutable next_pc : int;
-    mutable pc : int;
-    mutable size : int;
-    mutable kind : int;  (** an {!Dlink_mach.Event.Kind} code *)
-    mutable in_plt : bool;
-    mutable plt_call : bool;
-    mutable got_store : bool;
-    mutable taken : bool;
-    mutable load : int;  (** {!Dlink_isa.Addr.none} when absent *)
-    mutable load2 : int;
-    mutable store : int;
-    mutable target : int;
-    mutable aux : int;
-        (** architectural target of a direct call (= [target] when
-            unredirected), GOT slot of an indirect branch *)
+    ev : Event.t;
+        (** the last decoded event, overwritten in place by {!advance}; a
+            direct call without a stored [aux] decodes [aux = target] *)
   }
 
   val create : trace -> t
   val seek_request : t -> int -> unit
 
   val advance : t -> unit
-  (** Decode the event at [i] into the mutable fields and step past it.
+  (** Decode the event at [i] into [ev] and step past it.
       Allocation-free.  The caller bounds [i] against [req_start]. *)
 
   val peek_in_plt : t -> bool
   (** The [in_plt] flag of the next (undecoded) event — used by the
       enhanced replay to drop a skipped trampoline without retiring it. *)
-
-  val event : t -> Event.t
-  (** The last decoded event, re-materialised (tests/debugging only). *)
 end
 
 val to_events : t -> Event.t list
-(** Reference decoder: the full stream as events, in retire order. *)
+(** Reference decoder: the full stream as fresh copies of the decoded
+    events, in retire order. *)

@@ -121,12 +121,9 @@ let create ?ucfg ?skip_cfg ?(mode = Sim.Enhanced) ?requests ~policy ~quantum
            in
            let linked = Loader.load_exn ~opts w.Workload.objs in
            let kernel = Multi.kernel (Multi.core_of m pid) in
-           let hooks =
-             Kernel.process_hooks kernel
-               ~is_plt_entry:(Loader.is_plt_entry linked)
-               ~in_got:(Loader.in_any_got linked)
+           let process =
+             Process.create ~hooks:(Kernel.process_hooks kernel) linked
            in
-           let process = Process.create ~hooks linked in
            { pid; pname = w.Workload.wname; workload = w; linked; process; m })
          workloads)
   in

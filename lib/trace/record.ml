@@ -2,8 +2,6 @@ module Sim = Dlink_core.Sim
 module Workload = Dlink_core.Workload
 module Loader = Dlink_linker.Loader
 module Process = Dlink_mach.Process
-module Event = Dlink_mach.Event
-module Kernel = Dlink_pipeline.Kernel
 
 (* Base and Enhanced share one architectural stream: Enhanced's redirects
    are applied (and trampoline events dropped) at replay time, so both
@@ -21,20 +19,12 @@ let record ?aslr_seed ?warmup ?requests ~mode (w : Workload.t) =
     }
   in
   let linked = Loader.load_exn ~opts w.Workload.objs in
-  let is_plt_entry = Loader.is_plt_entry linked in
   let writer = Trace.Writer.create () in
-  (* Classify with the kernel's own predicates, so the flag bits a replay
-     consumes are by construction the bits the unified retire path would
-     compute live. *)
-  let in_got = Loader.in_any_got linked in
-  let on_retire (ev : Event.t) =
-    Trace.Writer.add writer
-      ~plt_call:(Kernel.plt_call_of ~is_plt_entry ev)
-      ~got_store:(Kernel.got_store_of ~in_got ev)
-      ev
-  in
+  (* The process classifies its events as it retires them, so the flag
+     bits a replay consumes are by construction the bits a live run
+     feeds the kernel. *)
   let hooks =
-    { Process.on_fetch_call = (fun ~pc:_ ~arch_target -> arch_target); on_retire }
+    { Process.default_hooks with on_retire = Trace.Writer.add writer }
   in
   let process = Process.create ~hooks linked in
   let run_request i =

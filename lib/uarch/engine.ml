@@ -1,4 +1,3 @@
-open Dlink_isa
 open Dlink_mach
 
 type t = {
@@ -102,12 +101,13 @@ let indirect_target t ~pc ~target =
   Btb.update t.btb pc target;
   cost
 
-(* Branch accounting on packed operands.  [aux] is the architectural target
-   of a direct call (equal to [target] when unredirected) or the GOT slot
-   of an indirect branch; it is ignored for the other kinds. *)
-let branch_cost_packed t ~pc ~size ~kind ~target ~aux ~taken =
+(* Branch accounting.  [aux] is the architectural target of a direct call
+   (equal to [target] when unredirected); the other kinds ignore it. *)
+let branch_cost t (ev : Event.t) =
+  let pc = ev.pc and kind = ev.kind and target = ev.target in
   t.c.branches <- t.c.branches + 1;
   if kind = Event.Kind.cond_branch then begin
+    let taken = ev.taken in
     let predicted = Direction.predict t.dir pc in
     Direction.update t.dir pc taken;
     let dir_cost =
@@ -121,8 +121,8 @@ let branch_cost_packed t ~pc ~size ~kind ~target ~aux ~taken =
     dir_cost + target_cost
   end
   else if kind = Event.Kind.call_direct then begin
-    Ras.push t.ras (pc + size);
-    if target = aux then direct_target t ~pc ~target
+    Ras.push t.ras (pc + ev.size);
+    if target = ev.aux then direct_target t ~pc ~target
     else
       (* Redirected (trampoline-skipped) call: the BTB is the only source
          of the function address, so a stale entry is a real mispredict
@@ -131,7 +131,7 @@ let branch_cost_packed t ~pc ~size ~kind ~target ~aux ~taken =
   end
   else if kind = Event.Kind.jump_direct then direct_target t ~pc ~target
   else if kind = Event.Kind.call_indirect then begin
-    Ras.push t.ras (pc + size);
+    Ras.push t.ras (pc + ev.size);
     indirect_target t ~pc ~target
   end
   else if kind = Event.Kind.jump_indirect || kind = Event.Kind.jump_resolver then
@@ -146,28 +146,23 @@ let branch_cost_packed t ~pc ~size ~kind ~target ~aux ~taken =
     end
   end
 
-let retire_packed t ~pc ~size ~in_plt ~load ~load2 ~store ~kind ~target ~aux
-    ~taken =
+let retire t (ev : Event.t) =
   t.c.instructions <- t.c.instructions + 1;
-  if in_plt then t.c.tramp_instructions <- t.c.tramp_instructions + 1;
-  let cycles = 1 + ifetch t pc in
-  let cycles = if load >= 0 then cycles + data_access t load else cycles in
-  let cycles = if load2 >= 0 then cycles + data_access t load2 else cycles in
-  let cycles = if store >= 0 then cycles + data_access t store else cycles in
+  if ev.in_plt then t.c.tramp_instructions <- t.c.tramp_instructions + 1;
+  let cycles = 1 + ifetch t ev.pc in
   let cycles =
-    if kind <> Event.Kind.none then
-      cycles + branch_cost_packed t ~pc ~size ~kind ~target ~aux ~taken
-    else cycles
+    if ev.load >= 0 then cycles + data_access t ev.load else cycles
+  in
+  let cycles =
+    if ev.load2 >= 0 then cycles + data_access t ev.load2 else cycles
+  in
+  let cycles =
+    if ev.store >= 0 then cycles + data_access t ev.store else cycles
+  in
+  let cycles =
+    if ev.kind <> Event.Kind.none then cycles + branch_cost t ev else cycles
   in
   t.c.cycles <- t.c.cycles + cycles
-
-let retire t (ev : Event.t) =
-  let load = match ev.load with Some a -> a | None -> Addr.none in
-  let load2 = match ev.load2 with Some a -> a | None -> Addr.none in
-  let store = match ev.store with Some a -> a | None -> Addr.none in
-  let kind, target, aux, taken = Event.pack_branch ev.branch in
-  retire_packed t ~pc:ev.pc ~size:ev.size ~in_plt:ev.in_plt ~load ~load2 ~store
-    ~kind ~target ~aux ~taken
 
 let context_switch ?(flush_predictors = false) ?(flush_caches = false)
     ?(retain_asid = false) t =

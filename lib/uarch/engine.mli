@@ -26,25 +26,8 @@ val create : Config.t -> t
 val config : t -> Config.t
 val counters : t -> Counters.t
 val retire : t -> Event.t -> unit
-
-val retire_packed :
-  t ->
-  pc:Addr.t ->
-  size:int ->
-  in_plt:bool ->
-  load:Addr.t ->
-  load2:Addr.t ->
-  store:Addr.t ->
-  kind:int ->
-  target:Addr.t ->
-  aux:Addr.t ->
-  taken:bool ->
-  unit
-(** Allocation-free {!retire} on packed operands.  Absent operands are
-    {!Addr.none}; [kind] is an {!Event.Kind} code ({!Event.Kind.none} for a
-    non-branch); [aux] is the architectural target of a direct call (equal
-    to [target] when unredirected) or the GOT slot of an indirect branch.
-    [retire t ev] is equivalent to packing [ev]'s fields and calling this. *)
+(** Charge one retired instruction.  Allocation-free; the event is not
+    kept past the call. *)
 
 val btb_update : t -> Addr.t -> Addr.t -> unit
 (** External BTB training: the skip controller uses this to retarget a

@@ -157,15 +157,7 @@ let test_got_store_clears_abtb () =
   (* Simulate a library rebind: store to the guarded GOT slot. *)
   let clears_before = (Sim.counters sim).C.abtb_clears in
   Skip.on_retire skip
-    {
-      Dlink_mach.Event.pc = 0;
-      size = 4;
-      in_plt = false;
-      load = None;
-      load2 = None;
-      store = Some (got_slot_of sim "f");
-      branch = None;
-    };
+    (Dlink_mach.Event.make ~store:(got_slot_of sim "f") 0);
   checki "cleared" (clears_before + 1) (Sim.counters sim).C.abtb_clears;
   checki "table empty" 0 (Dlink_uarch.Abtb.valid_count (Skip.abtb skip))
 
@@ -183,15 +175,7 @@ let test_library_rebinding_is_safe () =
   (* The rebinding store, observed architecturally and by the skip logic. *)
   Memory.write (Process.memory (Sim.process sim)) slot g;
   Skip.on_retire skip
-    {
-      Dlink_mach.Event.pc = 0;
-      size = 4;
-      in_plt = false;
-      load = None;
-      load2 = None;
-      store = Some slot;
-      branch = None;
-    };
+    (Dlink_mach.Event.make ~store:slot 0);
   (* Subsequent calls route to g via the trampoline; verify_targets would
      raise if a stale skip happened. *)
   Sim.call sim ~mname:"app" ~fname:"main";
@@ -283,15 +267,7 @@ let test_got_store_still_clears_after_asid_switch () =
   let appimg = Option.get (Space.image_by_name linked.Loader.space "app") in
   let slot = Option.get (Image.got_slot appimg "f") in
   Skip.on_retire skip
-    {
-      Dlink_mach.Event.pc = 0;
-      size = 4;
-      in_plt = false;
-      load = None;
-      load2 = None;
-      store = Some slot;
-      branch = None;
-    };
+    (Dlink_mach.Event.make ~store:slot 0);
   checki "abtb cleared" 0 (Dlink_uarch.Abtb.valid_count (Skip.abtb skip));
   checki "clear counted" (clears_before + 1) (Sim.counters sim).C.abtb_clears
 

@@ -259,15 +259,7 @@ let rebind_f sim =
   Option.iter
     (fun skip ->
       Skip.on_retire skip
-        {
-          Dlink_mach.Event.pc = 0;
-          size = 4;
-          in_plt = false;
-          load = None;
-          load2 = None;
-          store = Some slot;
-          branch = None;
-        })
+        (Dlink_mach.Event.make ~store:slot 0))
     (Sim.skip sim)
 
 let test_explicit_mode_skips_normally () =

@@ -6,6 +6,7 @@ module Loader = Dlink_linker.Loader
 module Space = Dlink_linker.Space
 module Image = Dlink_linker.Image
 module Mode = Dlink_linker.Mode
+module Addr = Dlink_isa.Addr
 open Dlink_mach
 
 let checkb = Alcotest.(check bool)
@@ -93,9 +94,7 @@ let test_resolver_runs_once_per_symbol () =
       Process.default_hooks with
       on_retire =
         (fun ev ->
-          match ev.Event.branch with
-          | Some (Event.Jump_resolver _) -> incr resolver_jumps
-          | _ -> ());
+          if ev.Event.kind = Event.Kind.jump_resolver then incr resolver_jumps);
     }
   in
   ignore (run_main ~hooks linked);
@@ -109,9 +108,7 @@ let test_eager_mode_never_resolves () =
       Process.default_hooks with
       on_retire =
         (fun ev ->
-          match ev.Event.branch with
-          | Some (Event.Jump_resolver _) -> incr resolver_jumps
-          | _ -> ());
+          if ev.Event.kind = Event.Kind.jump_resolver then incr resolver_jumps);
     }
   in
   ignore (run_main ~hooks linked);
@@ -322,10 +319,8 @@ let test_call_event_shape () =
       Process.default_hooks with
       on_retire =
         (fun ev ->
-          match ev.Event.branch with
-          | Some (Event.Call_direct { target; arch_target }) when !seen = None ->
-              seen := Some (target = arch_target, ev.Event.store <> None)
-          | _ -> ());
+          if ev.Event.kind = Event.Kind.call_direct && !seen = None then
+            seen := Some (ev.Event.target = ev.Event.aux, ev.Event.store <> Addr.none));
     }
   in
   ignore (run_main ~hooks linked);
@@ -343,14 +338,49 @@ let test_trampoline_event_has_got_load () =
       Process.default_hooks with
       on_retire =
         (fun ev ->
-          match ev.Event.branch with
-          | Some (Event.Jump_indirect { slot; _ }) ->
-              if ev.Event.load = Some slot then incr got_loads
-          | _ -> ());
+          if ev.Event.kind = Event.Kind.jump_indirect && ev.Event.load = ev.Event.aux
+          then incr got_loads);
     }
   in
   ignore (run_main ~hooks linked);
   checkb "trampoline loads its GOT slot" true (!got_loads >= 1)
+
+(* The interpreter classifies its own events: exactly the direct calls
+   whose architectural target is a PLT entry carry [plt_call], and exactly
+   the resolver's GOT write carries [got_store].  The expected sets are
+   derived from the images' symbol tables, not from the loader's
+   predicates the interpreter consults. *)
+let test_event_classification () =
+  let linked =
+    simple_program ~main_body:[ Body.Call_import "f"; Body.Call_import "f" ] ()
+  in
+  let images = Space.images linked.Loader.space in
+  let plt_entries = Hashtbl.create 16 in
+  Array.iter
+    (fun img -> Hashtbl.iter (fun _ a -> Hashtbl.replace plt_entries a ()) img.Image.plt_entries)
+    images;
+  let app = Option.get (Space.image_by_name linked.Loader.space "app") in
+  let f_slot = Option.get (Image.got_slot app "f") in
+  let evs = ref [] in
+  let hooks =
+    { Process.default_hooks with on_retire = (fun ev -> evs := Event.copy ev :: !evs) }
+  in
+  ignore (run_main ~hooks linked);
+  let evs = List.rev !evs in
+  let plt_calls = List.filter (fun ev -> ev.Event.plt_call) evs in
+  checki "both calls to f classified" 2 (List.length plt_calls);
+  List.iter
+    (fun (ev : Event.t) ->
+      checkb
+        (Printf.sprintf "plt_call at %s" (Addr.to_hex ev.pc))
+        (ev.kind = Event.Kind.call_direct && Hashtbl.mem plt_entries ev.aux)
+        ev.plt_call)
+    evs;
+  match List.filter (fun ev -> ev.Event.got_store) evs with
+  | [ ev ] ->
+      checki "resolver's jump" Event.Kind.jump_resolver ev.Event.kind;
+      checki "stores f's GOT slot" f_slot ev.Event.store
+  | l -> Alcotest.failf "expected one GOT store, saw %d" (List.length l)
 
 let test_event_count_matches_retired () =
   let linked = simple_program () in
@@ -398,9 +428,8 @@ let qcheck_tests =
                 let in_stack a =
                   a >= linked.Loader.stack_base && a <= linked.Loader.stack_top
                 in
-                let check_side = function
-                  | Some a when not (in_data a || in_stack a) -> ok := false
-                  | _ -> ()
+                let check_side a =
+                  if a <> Addr.none && not (in_data a || in_stack a) then ok := false
                 in
                 check_side ev.Event.load;
                 check_side ev.Event.store)
@@ -467,6 +496,8 @@ let () =
           Alcotest.test_case "call event shape" `Quick test_call_event_shape;
           Alcotest.test_case "trampoline GOT load" `Quick test_trampoline_event_has_got_load;
           Alcotest.test_case "event per retired" `Quick test_event_count_matches_retired;
+          Alcotest.test_case "plt_call/got_store classification" `Quick
+            test_event_classification;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -9,6 +9,9 @@ module Event = Dlink_mach.Event
 module Kind = Dlink_mach.Event.Kind
 module Counters = Dlink_uarch.Counters
 module Sim = Dlink_core.Sim
+module Workload = Dlink_core.Workload
+module Kernel = Dlink_pipeline.Kernel
+module Record = Dlink_trace.Record
 module Registry = Dlink_workloads.Registry
 module Trace = Dlink_trace.Trace
 module Tcache = Dlink_trace.Cache
@@ -23,39 +26,30 @@ let wl name =
 
 (* --- format round-trips ------------------------------------------------ *)
 
-let ev ?(size = 4) ?(in_plt = false) ?load ?load2 ?store ?branch pc =
-  { Event.pc; size; in_plt; load; load2; store; branch }
+let ev = Event.make
 
 let test_manual_round_trip () =
   let w = Trace.Writer.create () in
   (* Request 0: a PLT call whose continuation pcs are all derivable. *)
   let e1 =
-    ev 0x1000
-      ~branch:(Event.Call_direct { target = 0x2000; arch_target = 0x2000 })
+    ev 0x1000 ~plt_call:true ~kind:Kind.call_direct ~target:0x2000 ~aux:0x2000
   in
   let e2 =
-    ev 0x2000 ~size:2 ~in_plt:true ~load:0x9000
-      ~branch:(Event.Jump_indirect { target = 0x3000; slot = 0x9000 })
+    ev 0x2000 ~size:2 ~in_plt:true ~load:0x9000 ~kind:Kind.jump_indirect
+      ~target:0x3000 ~aux:0x9000
   in
-  let e3 = ev 0x3000 ~size:1 ~store:0x9100 in
+  let e3 = ev 0x3000 ~size:1 ~store:0x9100 ~got_store:true in
   (* Request 1: explicit pc (discontinuity), redirected call, cond branch. *)
-  let e4 =
-    ev 0x5000
-      ~branch:(Event.Call_direct { target = 0x7000; arch_target = 0x6000 })
-  in
+  let e4 = ev 0x5000 ~kind:Kind.call_direct ~target:0x7000 ~aux:0x6000 in
   let e5 =
-    ev 0x7000 ~size:3 ~load:0x100 ~load2:0x200
-      ~branch:(Event.Cond_branch { target = 0x1000; taken = false })
+    ev 0x7000 ~size:3 ~load:0x100 ~load2:0x200 ~kind:Kind.cond_branch
+      ~target:0x1000 ~taken:false
   in
-  let e6 = ev 0x7003 ~branch:(Event.Return { target = 0x5004 }) in
+  let e6 = ev 0x7003 ~kind:Kind.return ~target:0x5004 in
   Trace.Writer.start_request w ~rtype:1;
-  Trace.Writer.add w ~plt_call:true e1;
-  Trace.Writer.add w e2;
-  Trace.Writer.add w ~got_store:true e3;
+  List.iter (Trace.Writer.add w) [ e1; e2; e3 ];
   Trace.Writer.start_request w ~rtype:0;
-  Trace.Writer.add w e4;
-  Trace.Writer.add w e5;
-  Trace.Writer.add w e6;
+  List.iter (Trace.Writer.add w) [ e4; e5; e6 ];
   let tr = Trace.Writer.finish w ~warmup:1 in
   Alcotest.(check int) "n_events" 6 (Trace.n_events tr);
   Alcotest.(check int) "n_requests" 2 (Trace.n_requests tr);
@@ -68,28 +62,30 @@ let test_manual_round_trip () =
   Alcotest.(check bool) "decode" true
     (Trace.to_events tr = [ e1; e2; e3; e4; e5; e6 ]);
   Alcotest.(check bool) "storage bytes" true (Trace.storage_bytes tr > 0);
-  (* The side flags survive through the cursor. *)
+  (* The side flags survive through the cursor, decoded in place. *)
   let c = Trace.Cursor.create tr in
+  let d = c.Trace.Cursor.ev in
   Trace.Cursor.seek_request c 0;
   Trace.Cursor.advance c;
-  Alcotest.(check bool) "e1 plt_call" true c.Trace.Cursor.plt_call;
-  Alcotest.(check bool) "e1 no got_store" false c.Trace.Cursor.got_store;
+  Alcotest.(check bool) "e1 plt_call" true d.Event.plt_call;
+  Alcotest.(check bool) "e1 no got_store" false d.Event.got_store;
   Alcotest.(check bool) "peek sees plt" true (Trace.Cursor.peek_in_plt c);
-  Alcotest.(check bool) "event rebuild" true (Trace.Cursor.event c = e1);
+  Alcotest.(check bool) "decoded event" true (d = e1);
   Trace.Cursor.advance c;
-  Alcotest.(check int) "e2 load" 0x9000 c.Trace.Cursor.load;
-  Alcotest.(check int) "e2 load2 absent" Addr.none c.Trace.Cursor.load2;
+  Alcotest.(check bool) "record reused" true (c.Trace.Cursor.ev == d);
+  Alcotest.(check int) "e2 load" 0x9000 d.Event.load;
+  Alcotest.(check int) "e2 load2 absent" Addr.none d.Event.load2;
   Trace.Cursor.advance c;
-  Alcotest.(check bool) "e3 got_store" true c.Trace.Cursor.got_store;
-  Alcotest.(check int) "e3 store" 0x9100 c.Trace.Cursor.store;
-  Alcotest.(check int) "e3 no branch" Kind.none c.Trace.Cursor.kind;
+  Alcotest.(check bool) "e3 got_store" true d.Event.got_store;
+  Alcotest.(check int) "e3 store" 0x9100 d.Event.store;
+  Alcotest.(check int) "e3 no branch" Kind.none d.Event.kind;
   (* Seeking straight into request 1 works without replaying request 0. *)
   let c2 = Trace.Cursor.create tr in
   Trace.Cursor.seek_request c2 1;
   Trace.Cursor.advance c2;
-  Alcotest.(check int) "seek pc" 0x5000 c2.Trace.Cursor.pc;
-  Alcotest.(check int) "redirect target" 0x7000 c2.Trace.Cursor.target;
-  Alcotest.(check int) "redirect aux" 0x6000 c2.Trace.Cursor.aux
+  Alcotest.(check int) "seek pc" 0x5000 c2.Trace.Cursor.ev.Event.pc;
+  Alcotest.(check int) "redirect target" 0x7000 c2.Trace.Cursor.ev.Event.target;
+  Alcotest.(check int) "redirect aux" 0x6000 c2.Trace.Cursor.ev.Event.aux
 
 let test_writer_validation () =
   let expect_invalid msg f =
@@ -111,42 +107,41 @@ let test_writer_validation () =
 
 let addr_gen = QCheck.Gen.int_range 0 0x3FFF_FFFF
 
+(* [(kind, target, aux, taken)] as the interpreter fills them: only a
+   conditional branch sets [taken]; only a direct call (architectural
+   target, equal to [target] unless redirected) or an indirect call or
+   jump (GOT slot) carries [aux]. *)
 let branch_gen =
   QCheck.Gen.(
     oneof
       [
-        return None;
-        map (fun t -> Some (Event.Jump_direct { target = t })) addr_gen;
-        map (fun t -> Some (Event.Jump_resolver { target = t })) addr_gen;
-        map (fun t -> Some (Event.Return { target = t })) addr_gen;
-        map
-          (fun (t, s) -> Some (Event.Call_indirect { target = t; slot = s }))
-          (pair addr_gen addr_gen);
-        map
-          (fun (t, s) -> Some (Event.Jump_indirect { target = t; slot = s }))
-          (pair addr_gen addr_gen);
-        map
-          (fun (t, k) -> Some (Event.Cond_branch { target = t; taken = k }))
-          (pair addr_gen bool);
-        map
-          (fun t -> Some (Event.Call_direct { target = t; arch_target = t }))
-          addr_gen;
-        map
-          (fun (t, a) ->
-            Some (Event.Call_direct { target = t; arch_target = a }))
-          (pair addr_gen addr_gen);
+        return (Kind.none, Addr.none, Addr.none, false);
+        map (fun t -> (Kind.jump_direct, t, Addr.none, false)) addr_gen;
+        map (fun t -> (Kind.jump_resolver, t, Addr.none, false)) addr_gen;
+        map (fun t -> (Kind.return, t, Addr.none, false)) addr_gen;
+        map (fun (t, s) -> (Kind.call_indirect, t, s, false)) (pair addr_gen addr_gen);
+        map (fun (t, s) -> (Kind.jump_indirect, t, s, false)) (pair addr_gen addr_gen);
+        map (fun (t, k) -> (Kind.cond_branch, t, Addr.none, k)) (pair addr_gen bool);
+        map (fun t -> (Kind.call_direct, t, t, false)) addr_gen;
+        map (fun (t, a) -> (Kind.call_direct, t, a, false)) (pair addr_gen addr_gen);
       ])
+
+let opt_addr_gen = QCheck.Gen.(map (Option.value ~default:Addr.none) (opt addr_gen))
 
 let event_gen =
   QCheck.Gen.(
     addr_gen >>= fun pc ->
     int_range 1 15 >>= fun size ->
     bool >>= fun in_plt ->
-    opt addr_gen >>= fun load ->
-    opt addr_gen >>= fun load2 ->
-    opt addr_gen >>= fun store ->
-    branch_gen >>= fun branch ->
-    return { Event.pc; size; in_plt; load; load2; store; branch })
+    bool >>= fun plt_call ->
+    bool >>= fun got_store ->
+    opt_addr_gen >>= fun load ->
+    opt_addr_gen >>= fun load2 ->
+    opt_addr_gen >>= fun store ->
+    branch_gen >>= fun (kind, target, aux, taken) ->
+    return
+      (Event.make ~size ~kind ~in_plt ~plt_call ~got_store ~taken ~load ~load2
+         ~store ~target ~aux pc))
 
 let requests_gen =
   QCheck.Gen.(
@@ -161,7 +156,7 @@ let qcheck_tests =
         List.iter
           (fun (rtype, evs) ->
             Trace.Writer.start_request w ~rtype;
-            List.iter (fun e -> Trace.Writer.add w e) evs)
+            List.iter (Trace.Writer.add w) evs)
           reqs;
         let tr = Trace.Writer.finish w ~warmup:0 in
         Trace.to_events tr = List.concat_map snd reqs
@@ -316,6 +311,66 @@ let test_domain_zero_alloc () =
           d100 d300
   | _ -> Alcotest.fail "dpool dropped a result"
 
+(* --- one event path: generate feeds the kernel what replay decodes ----- *)
+
+(* Drive a live Base-mode simulator through warmup then measured requests,
+   the order [Record.record] uses. *)
+let generate sim (w : Workload.t) ~warmup ~requests =
+  let run i =
+    let req = w.Workload.gen_request i in
+    Sim.call sim ~mname:req.Workload.mname ~fname:req.Workload.fname
+  in
+  for i = 0 to warmup - 1 do
+    run (-1 - i)
+  done;
+  for i = 0 to requests - 1 do
+    run i
+  done
+
+(* The interpreter classifies [plt_call]/[got_store] for both generate and
+   recording, so the generate = replay matrix cannot catch a
+   misclassification; this pins the kernel's view of a live run to the
+   recorder's stream, flags included. *)
+let test_tap_matches_record () =
+  let w = wl "memcached" in
+  let warmup = 3 and requests = 12 in
+  let sim = Sim.create ~func_align:w.Workload.func_align ~mode:Sim.Base w.Workload.objs in
+  let seen = ref [] in
+  Kernel.set_tap (Sim.kernel sim) (Some (fun ev -> seen := Event.copy ev :: !seen));
+  generate sim w ~warmup ~requests;
+  let live = List.rev !seen in
+  let recorded = Trace.to_events (Record.record ~warmup ~requests ~mode:Sim.Base w) in
+  Alcotest.(check int) "event count" (List.length recorded) (List.length live);
+  Alcotest.(check bool) "some library calls" true
+    (List.exists (fun ev -> ev.Event.plt_call) live);
+  Alcotest.(check bool) "some GOT stores" true
+    (List.exists (fun ev -> ev.Event.got_store) live);
+  Alcotest.(check bool) "tap events = recorded events" true (live = recorded)
+
+(* Generate allocates nothing per retired instruction once warm: the
+   replay [Gc.minor_words] proof extended to the interpreter path.  What
+   remains is per request (workload request records, symbol lookup) and
+   per library call (profile bookkeeping), well under a word per
+   instruction. *)
+let test_generate_alloc () =
+  let w = wl "memcached" in
+  List.iter
+    (fun mode ->
+      let sim =
+        Sim.create ~func_align:w.Workload.func_align ~mode w.Workload.objs
+      in
+      generate sim w ~warmup:w.Workload.warmup_requests ~requests:40;
+      let insns0 = (Sim.counters sim).Counters.instructions in
+      let before = Gc.minor_words () in
+      generate sim w ~warmup:0 ~requests:40;
+      let words = Gc.minor_words () -. before in
+      let insns = (Sim.counters sim).Counters.instructions - insns0 in
+      let per_insn = words /. float_of_int (max 1 insns) in
+      if per_insn > 1.0 then
+        Alcotest.failf "%s generate allocates %.2f words/insn (%.0f words, %d insns)"
+          (Sim.mode_to_string mode) per_insn words insns)
+    [ Sim.Base; Sim.Enhanced ]
+
 let () =
   Alcotest.run "trace"
     [
@@ -335,6 +390,13 @@ let () =
           Alcotest.test_case "replay is allocation-free" `Quick test_zero_alloc;
           Alcotest.test_case "domain replay is allocation-free" `Quick
             test_domain_zero_alloc;
+          Alcotest.test_case "warm generate allocates under a word per insn"
+            `Quick test_generate_alloc;
+        ] );
+      ( "event path",
+        [
+          Alcotest.test_case "kernel tap = recorded stream" `Quick
+            test_tap_matches_record;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

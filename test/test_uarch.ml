@@ -284,8 +284,7 @@ let test_counters_reset () =
 
 (* ---------------- Engine ---------------- *)
 
-let plain_event ?load ?store ?branch pc =
-  { Event.pc; size = 4; in_plt = false; load; load2 = None; store; branch }
+let plain_event = Event.make (* size 4, every operand absent *)
 
 let test_engine_counts_instructions_and_misses () =
   let e = Engine.create Config.small in
@@ -309,12 +308,12 @@ let test_engine_cond_misprediction () =
   let e = Engine.create Config.small in
   (* Initial 2-bit counters are weakly not-taken: a taken branch mispredicts. *)
   Engine.retire e
-    (plain_event ~branch:(Event.Cond_branch { target = 0x2000; taken = true }) 0x1000);
+    (plain_event ~kind:Event.Kind.cond_branch ~target:0x2000 ~taken:true 0x1000);
   checki "mispredicted" 1 (Engine.counters e).Counters.branch_mispredictions
 
 let test_engine_indirect_learns () =
   let e = Engine.create Config.small in
-  let ev = plain_event ~branch:(Event.Jump_indirect { target = 0x2000; slot = 0x30 }) 0x1000 in
+  let ev = plain_event ~kind:Event.Kind.jump_indirect ~target:0x2000 ~aux:0x30 0x1000 in
   Engine.retire e ev;
   let m1 = (Engine.counters e).Counters.branch_mispredictions in
   Engine.retire e ev;
@@ -326,9 +325,9 @@ let test_engine_return_uses_ras () =
   let e = Engine.create Config.small in
   (* Call pushes pc+size; matching return is predicted. *)
   Engine.retire e
-    (plain_event ~branch:(Event.Call_direct { target = 0x2000; arch_target = 0x2000 }) 0x1000);
+    (plain_event ~kind:Event.Kind.call_direct ~target:0x2000 ~aux:0x2000 0x1000);
   let before = (Engine.counters e).Counters.branch_mispredictions in
-  Engine.retire e (plain_event ~branch:(Event.Return { target = 0x1004 }) 0x2000);
+  Engine.retire e (plain_event ~kind:Event.Kind.return ~target:0x1004 0x2000);
   checki "return predicted" before (Engine.counters e).Counters.branch_mispredictions
 
 let test_engine_redirected_call_with_stale_btb_mispredicts () =
@@ -336,17 +335,17 @@ let test_engine_redirected_call_with_stale_btb_mispredicts () =
   (* A redirected (skipped) call whose BTB does not hold the function is a
      genuine misprediction. *)
   Engine.retire e
-    (plain_event ~branch:(Event.Call_direct { target = 0x3000; arch_target = 0x2000 }) 0x1000);
+    (plain_event ~kind:Event.Kind.call_direct ~target:0x3000 ~aux:0x2000 0x1000);
   checki "mispredict" 1 (Engine.counters e).Counters.branch_mispredictions;
   (* Next time the BTB holds the function address: no mispredict. *)
   Engine.retire e
-    (plain_event ~branch:(Event.Call_direct { target = 0x3000; arch_target = 0x2000 }) 0x1000);
+    (plain_event ~kind:Event.Kind.call_direct ~target:0x3000 ~aux:0x2000 0x1000);
   checki "then predicted" 1 (Engine.counters e).Counters.branch_mispredictions
 
 let test_engine_direct_call_miss_is_bubble_not_mispredict () =
   let e = Engine.create Config.small in
   Engine.retire e
-    (plain_event ~branch:(Event.Call_direct { target = 0x2000; arch_target = 0x2000 }) 0x1000);
+    (plain_event ~kind:Event.Kind.call_direct ~target:0x2000 ~aux:0x2000 0x1000);
   let c = Engine.counters e in
   checki "no mispredict" 0 c.Counters.branch_mispredictions;
   checki "btb fill" 1 c.Counters.btb_misses
@@ -365,7 +364,7 @@ let test_engine_context_switch_flushes_tlbs () =
 
 let test_engine_plt_instructions_counted () =
   let e = Engine.create Config.small in
-  Engine.retire e { (plain_event 0x1000) with Event.in_plt = true };
+  Engine.retire e (plain_event ~in_plt:true 0x1000);
   checki "tramp instr" 1 (Engine.counters e).Counters.tramp_instructions
 
 let test_engine_cycle_arithmetic_exact () =
